@@ -28,10 +28,10 @@ int main() {
 
   std::printf("SDH of %zu points, %d buckets (width %.3f)\n", pts.size(),
               buckets, width);
-  if (fw.last_sdh_plan()) {
-    const auto& plan = *fw.last_sdh_plan();
+  if (fw.last_plan()) {
+    const auto& plan = *fw.last_plan();
     std::printf("planner chose: %s, block size %d (predicted %.4f s)\n",
-                kernels::to_string(plan.variant), plan.block_size,
+                plan.kernel->name.c_str(), plan.block_size,
                 plan.predicted_seconds);
     std::printf("candidates considered: %zu\n", plan.considered.size());
   }

@@ -6,9 +6,8 @@
 // Two construction modes:
 //   * VgpuBackend(Device&): the backend owns a private stream on the
 //     device (a serve worker's lane).
-//   * VgpuBackend(Stream&): borrow the caller's stream — used by the
-//     planner's legacy Stream-based entry point so calibration launches
-//     stay on the caller's lane.
+//   * VgpuBackend(Stream&): borrow the caller's stream, so launches and
+//     calibration stay on a lane the caller already owns.
 #pragma once
 
 #include <atomic>

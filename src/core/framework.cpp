@@ -1,57 +1,47 @@
 #include "core/framework.hpp"
 
-#include <algorithm>
+#include <utility>
 
 namespace tbs::core {
-
-namespace {
-
-/// Planning below this size costs more than it saves; use the paper's
-/// default choices directly.
-constexpr std::size_t kPlanThreshold = 2048;
-
-}  // namespace
 
 TwoBodyFramework::TwoBodyFramework(vgpu::DeviceSpec spec)
     : dev_(std::move(spec)) {}
 
+vgpu::KernelStats TwoBodyFramework::run(
+    const PointsSoA& pts, const kernels::ProblemDesc& desc,
+    kernels::KernelOutput& out, int block_size,
+    const kernels::KernelVariant* preferred) {
+  Choice c = choose(be_, pts, desc, preferred, block_size, kPlanThreshold,
+                    &plan_cache_);
+  last_plan_ = std::move(c.plan);
+  return be_.launch(*c.kernel, pts, desc, c.block_size, out);
+}
+
 kernels::SdhResult TwoBodyFramework::sdh(const PointsSoA& pts,
                                          double bucket_width, int buckets) {
-  kernels::SdhVariant variant = kernels::SdhVariant::RegRocOut;
-  int block = 256;
-  if (pts.size() > kPlanThreshold) {
-    const Plan p =
-        plan(stream_, pts, kernels::ProblemDesc::sdh(bucket_width, buckets),
-             static_cast<double>(pts.size()), &plan_cache_);
-    variant = static_cast<kernels::SdhVariant>(p.kernel->variant_id);
-    block = p.block_size;
-    sdh_plan_ = SdhPlan{variant, block, p.predicted_seconds, p.considered};
-  } else {
-    sdh_plan_.reset();
-  }
-  return kernels::run_sdh(stream_, pts, bucket_width, buckets, variant,
-                          block);
+  kernels::SdhResult r;
+  kernels::KernelOutput out;
+  out.hist = &r.hist;
+  r.stats = run(pts, kernels::ProblemDesc::sdh(bucket_width, buckets), out);
+  return r;
 }
 
 kernels::PcfResult TwoBodyFramework::pcf(const PointsSoA& pts,
                                          double radius) {
-  kernels::PcfVariant variant = kernels::PcfVariant::RegShm;
-  int block = 256;
-  if (pts.size() > kPlanThreshold) {
-    const Plan p = plan(stream_, pts, kernels::ProblemDesc::pcf(radius),
-                        static_cast<double>(pts.size()), &plan_cache_);
-    variant = static_cast<kernels::PcfVariant>(p.kernel->variant_id);
-    block = p.block_size;
-    pcf_plan_ = PcfPlan{variant, block, p.predicted_seconds, p.considered};
-  } else {
-    pcf_plan_.reset();
-  }
-  return kernels::run_pcf(stream_, pts, radius, variant, block);
+  kernels::PcfResult r;
+  kernels::KernelOutput out;
+  out.pairs = &r.pairs_within;
+  r.stats = run(pts, kernels::ProblemDesc::pcf(radius), out);
+  return r;
 }
 
 kernels::KnnResult TwoBodyFramework::knn(const PointsSoA& pts, int k,
                                          int block_size) {
-  return kernels::run_knn(dev_, pts, k, block_size);
+  kernels::KnnResult r;
+  kernels::KernelOutput out;
+  out.neighbours = &r.neighbours;
+  r.stats = run(pts, kernels::ProblemDesc::knn(k), out, block_size);
+  return r;
 }
 
 kernels::KdeResult TwoBodyFramework::kde(const PointsSoA& pts,
@@ -63,7 +53,13 @@ kernels::JoinResult TwoBodyFramework::join(const PointsSoA& pts,
                                            double radius,
                                            kernels::JoinVariant variant,
                                            int block_size) {
-  return kernels::run_distance_join(dev_, pts, radius, variant, block_size);
+  kernels::JoinResult r;
+  kernels::KernelOutput out;
+  out.join_pairs = &r.pairs;
+  r.stats = run(pts, kernels::ProblemDesc::join(radius), out, block_size,
+                kernels::KernelRegistry::instance().find_by_id(
+                    kernels::ProblemType::Join, static_cast<int>(variant)));
+  return r;
 }
 
 kernels::GramResult TwoBodyFramework::gram(const PointsSoA& pts,

@@ -1,16 +1,20 @@
 // TwoBodyFramework — the user-facing facade of the library.
 //
 // One object owns a simulated device and exposes every 2-BS problem as a
-// single call. By default each call auto-plans (classify output pattern,
-// price kernel variants, pick the cheapest — the paper's framework vision);
-// the chosen plan is retrievable afterwards for inspection. Planned
-// problems (sdh/pcf) run through the framework's stream on the async
-// runtime, and plans are memoized in a PlanCache: a repeated query shape
-// reuses its plan with zero additional calibration launches.
+// single synchronous call. The served problems (sdh, pcf, knn, join) pick
+// their launch through core::choose — the same rule QueryEngine uses:
+// the problem's default variant, auto-planned above kPlanThreshold points
+// (price kernel variants, pick the cheapest — the paper's framework
+// vision) — and run it through a VgpuBackend on the async runtime. Plans
+// are memoized in a PlanCache: a repeated query shape reuses its plan with
+// zero additional calibration launches, and the chosen plan is retrievable
+// afterwards for inspection. kde and gram have no registry entry and call
+// their kernels directly.
 #pragma once
 
 #include <optional>
 
+#include "backend/vgpu_backend.hpp"
 #include "core/planner.hpp"
 #include "core/problem.hpp"
 #include "kernels/pcf.hpp"
@@ -18,7 +22,6 @@
 #include "kernels/type1.hpp"
 #include "kernels/type3.hpp"
 #include "vgpu/device.hpp"
-#include "vgpu/stream.hpp"
 
 namespace tbs::core {
 
@@ -52,24 +55,27 @@ class TwoBodyFramework {
   kernels::GramResult gram(const PointsSoA& pts, double gamma,
                            int block_size = 256);
 
-  /// Plan chosen by the most recent sdh() call, if any.
-  [[nodiscard]] const std::optional<SdhPlan>& last_sdh_plan() const {
-    return sdh_plan_;
-  }
-  /// Plan chosen by the most recent pcf() call, if any.
-  [[nodiscard]] const std::optional<PcfPlan>& last_pcf_plan() const {
-    return pcf_plan_;
+  /// Plan chosen by the most recent sdh/pcf/knn/join call; empty when that
+  /// call ran its default variant without planning.
+  [[nodiscard]] const std::optional<Plan>& last_plan() const {
+    return last_plan_;
   }
 
-  /// The memoized plans accumulated by sdh()/pcf() calls.
+  /// The memoized plans accumulated by planned calls.
   [[nodiscard]] const PlanCache& plan_cache() const { return plan_cache_; }
 
  private:
+  /// Choose the launch (core::choose; null `preferred` means the
+  /// problem's registry baseline) and run it through the backend.
+  vgpu::KernelStats run(const PointsSoA& pts,
+                        const kernels::ProblemDesc& desc,
+                        kernels::KernelOutput& out, int block_size = 256,
+                        const kernels::KernelVariant* preferred = nullptr);
+
   vgpu::Device dev_;
-  vgpu::Stream stream_{dev_};  ///< all planned launches flow through here
+  backend::VgpuBackend be_{dev_};  ///< registry launches flow through here
   PlanCache plan_cache_;
-  std::optional<SdhPlan> sdh_plan_;
-  std::optional<PcfPlan> pcf_plan_;
+  std::optional<Plan> last_plan_;
 };
 
 }  // namespace tbs::core

@@ -5,7 +5,6 @@
 #include <limits>
 #include <utility>
 
-#include "backend/vgpu_backend.hpp"
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -70,31 +69,6 @@ void apply_correction(Plan& p, const EstimateCorrector* corrector,
 }
 
 }  // namespace
-
-std::string plan_cache_key(const vgpu::DeviceSpec& spec,
-                           const kernels::ProblemDesc& desc,
-                           double target_n) {
-  // Round the target up to a power of two so nearby sizes share a plan.
-  std::uint64_t n_bucket = 1;
-  while (static_cast<double>(n_bucket) < target_n) n_bucket <<= 1;
-
-  std::string key = spec.name;
-  key += '|';
-  key += std::to_string(spec.sm_count);
-  key += '|';
-  key += std::to_string(spec.shared_mem_per_block_cap);
-  key += '|';
-  key += kernels::to_string(desc.type);
-  key += '|';
-  key += std::to_string(desc.bucket_width);
-  key += '|';
-  key += std::to_string(desc.buckets);
-  key += '|';
-  key += std::to_string(desc.radius);
-  key += "|N";
-  key += std::to_string(n_bucket);
-  return key;
-}
 
 std::string plan_cache_key(std::span<backend::IBackend* const> backends,
                            const kernels::ProblemDesc& desc,
@@ -232,13 +206,12 @@ Plan traced_calibrate(std::span<backend::IBackend* const> backends,
   return out;
 }
 
-/// Shared cache + single-flight wrapper around traced_calibrate. The key
-/// is supplied by the caller so the legacy Stream path keeps its
-/// spec-based key scheme.
-Plan plan_impl(std::span<backend::IBackend* const> backends,
-               const PointsSoA& sample, const kernels::ProblemDesc& desc,
-               double target_n, PlanCache* cache, const std::string& key,
-               const EstimateCorrector* corrector) {
+}  // namespace
+
+Plan plan(std::span<backend::IBackend* const> backends,
+          const PointsSoA& sample, const kernels::ProblemDesc& desc,
+          double target_n, PlanCache* cache,
+          const EstimateCorrector* corrector) {
   obs::MetricsRegistry::global().counter("core.plan.calls").inc();
   obs::Span span("core.plan", "core");
 
@@ -248,6 +221,7 @@ Plan plan_impl(std::span<backend::IBackend* const> backends,
                             corrector);
   }
 
+  const std::string key = plan_cache_key(backends, desc, target_n);
   span.attr("key", key);
   if (std::optional<Plan> hit = cache->find(key)) {
     obs::MetricsRegistry::global().counter("core.plan.cache_hits").inc();
@@ -284,53 +258,37 @@ Plan plan_impl(std::span<backend::IBackend* const> backends,
   return out;
 }
 
-}  // namespace
-
-Plan plan(std::span<backend::IBackend* const> backends,
-          const PointsSoA& sample, const kernels::ProblemDesc& desc,
-          double target_n, PlanCache* cache,
-          const EstimateCorrector* corrector) {
-  const std::string key =
-      cache != nullptr ? plan_cache_key(backends, desc, target_n)
-                       : std::string();
-  return plan_impl(backends, sample, desc, target_n, cache, key, corrector);
-}
-
-Plan plan(vgpu::Stream& stream, const PointsSoA& sample,
-          const kernels::ProblemDesc& desc, double target_n,
-          PlanCache* cache) {
-  backend::VgpuBackend view(stream);
-  backend::IBackend* one[] = {&view};
-  const std::string key =
-      cache != nullptr
-          ? plan_cache_key(stream.device().spec(), desc, target_n)
-          : std::string();
-  return plan_impl(one, sample, desc, target_n, cache, key, nullptr);
-}
-
-SdhPlan plan_sdh(vgpu::Device& dev, const PointsSoA& sample,
-                 double bucket_width, int buckets, double target_n) {
-  vgpu::Stream stream(dev);
-  Plan g = plan(stream, sample,
-                kernels::ProblemDesc::sdh(bucket_width, buckets), target_n);
-  SdhPlan out;
-  out.variant = static_cast<kernels::SdhVariant>(g.kernel->variant_id);
-  out.block_size = g.block_size;
-  out.predicted_seconds = g.predicted_seconds;
-  out.considered = std::move(g.considered);
-  return out;
-}
-
-PcfPlan plan_pcf(vgpu::Device& dev, const PointsSoA& sample, double radius,
-                 double target_n) {
-  vgpu::Stream stream(dev);
-  Plan g = plan(stream, sample, kernels::ProblemDesc::pcf(radius), target_n);
-  PcfPlan out;
-  out.variant = static_cast<kernels::PcfVariant>(g.kernel->variant_id);
-  out.block_size = g.block_size;
-  out.predicted_seconds = g.predicted_seconds;
-  out.considered = std::move(g.considered);
-  return out;
+Choice choose(backend::IBackend& be, const PointsSoA& pts,
+              const kernels::ProblemDesc& desc,
+              const kernels::KernelVariant* preferred, int block_size,
+              std::size_t plan_threshold, PlanCache* cache,
+              const EstimateCorrector* corrector) {
+  const kernels::KernelRegistry& registry = kernels::KernelRegistry::instance();
+  const unsigned mask = be.caps().registry_mask;
+  Choice c{preferred != nullptr ? preferred : &registry.baseline(desc.type),
+           block_size, std::nullopt};
+  if (pts.size() > plan_threshold &&
+      !registry.plannable(desc.type, mask).empty()) {
+    backend::IBackend* one[] = {&be};
+    c.plan = plan(one, pts, desc, static_cast<double>(pts.size()), cache,
+                  corrector);
+    c.kernel = c.plan->kernel;
+    c.block_size = c.plan->block_size;
+  } else if (!be.can_launch(*c.kernel, desc, block_size)) {
+    // A backend that can't run the default (a vgpu-only variant on a CPU
+    // backend, a shared-memory demand over the device cap) runs its first
+    // launchable variant for the problem instead.
+    for (const kernels::KernelVariant* v :
+         registry.for_problem(desc.type, mask)) {
+      if (be.can_launch(*v, desc, block_size)) {
+        c.kernel = v;
+        break;
+      }
+    }
+  }
+  check(be.can_launch(*c.kernel, desc, c.block_size),
+        "choose: no launchable variant for this backend");
+  return c;
 }
 
 }  // namespace tbs::core

@@ -7,13 +7,19 @@
 //
 // The generic entry point is plan(): it enumerates KernelRegistry rather
 // than a per-problem table, so a new statistic becomes plannable the moment
-// its variants register. plan_sdh() / plan_pcf() remain as typed wrappers
-// over it. Calibration launches go through a Stream, so planning shares the
-// async runtime with serving; pass a PlanCache to memoize plans across
-// queries (calibration is the expensive part — a hit costs zero launches).
+// its variants register. Calibration launches go through the backends being
+// priced, so planning shares the async runtime with serving; pass a
+// PlanCache to memoize plans across queries (calibration is the expensive
+// part — a hit costs zero launches).
+//
+// choose() is the one variant-choice rule both front doors (QueryEngine
+// and TwoBodyFramework) launch through: the query's default variant, the
+// planner above kPlanThreshold points, a launchable substitute when the
+// backend cannot run the default.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -28,13 +34,13 @@
 #include "backend/backend.hpp"
 #include "common/points.hpp"
 #include "core/feedback.hpp"
-#include "kernels/pcf.hpp"
 #include "kernels/registry.hpp"
-#include "kernels/sdh.hpp"
-#include "vgpu/device.hpp"
-#include "vgpu/stream.hpp"
 
 namespace tbs::core {
+
+/// Auto-planning threshold: at or below this many points, calibrating
+/// costs more than it saves, so a launch runs the problem's default.
+inline constexpr std::size_t kPlanThreshold = 2048;
 
 /// One priced candidate considered by the planner.
 struct Candidate {
@@ -70,30 +76,12 @@ struct Plan {
   std::vector<Candidate> considered;  ///< all candidates, priced
 };
 
-struct SdhPlan {
-  kernels::SdhVariant variant = kernels::SdhVariant::RegRocOut;
-  int block_size = 256;
-  double predicted_seconds = 0.0;
-  std::vector<Candidate> considered;  ///< all candidates, priced
-};
-
-struct PcfPlan {
-  kernels::PcfVariant variant = kernels::PcfVariant::RegShm;
-  int block_size = 256;
-  double predicted_seconds = 0.0;
-  std::vector<Candidate> considered;
-};
-
-/// Memoization key for a planning request: device identity, problem
-/// descriptor, and the target size rounded up to a power of two (the time
-/// model is smooth in N, so nearby sizes share a plan).
-std::string plan_cache_key(const vgpu::DeviceSpec& spec,
-                           const kernels::ProblemDesc& desc, double target_n);
-
-/// Backend-set key: the identity of every backend in the set (capability
-/// name + parallel units + shared budget, order-sensitive) plus the same
-/// problem/size bucketing. Two engines planning over equivalent pools
-/// share entries; a different pool composition never aliases.
+/// Memoization key for a planning request: the identity of every backend
+/// in the set (capability name + parallel units + shared budget,
+/// order-sensitive), the problem descriptor, and the target size rounded up
+/// to a power of two (the time model is smooth in N, so nearby sizes share
+/// a plan). Two engines planning over equivalent pools share entries; a
+/// different pool composition never aliases.
 std::string plan_cache_key(std::span<backend::IBackend* const> backends,
                            const kernels::ProblemDesc& desc, double target_n);
 
@@ -154,19 +142,26 @@ Plan plan(std::span<backend::IBackend* const> backends,
           double target_n, PlanCache* cache = nullptr,
           const EstimateCorrector* corrector = nullptr);
 
-/// Legacy single-substrate entry point: plans over a VgpuBackend view of
-/// `stream` (calibration launches stay on the caller's lane). Behaviour,
-/// candidate set, and winners are unchanged from before the backend seam.
-Plan plan(vgpu::Stream& stream, const PointsSoA& sample,
-          const kernels::ProblemDesc& desc, double target_n,
-          PlanCache* cache = nullptr);
+/// What one launch runs: a registry variant at a block size, plus the plan
+/// that picked them when the planner ran.
+struct Choice {
+  const kernels::KernelVariant* kernel = nullptr;
+  int block_size = 256;
+  std::optional<Plan> plan;
+};
 
-/// Plan an SDH run of `target_n` points with the given histogram geometry.
-SdhPlan plan_sdh(vgpu::Device& dev, const PointsSoA& sample,
-                 double bucket_width, int buckets, double target_n);
-
-/// Plan a 2-PCF run of `target_n` points.
-PcfPlan plan_pcf(vgpu::Device& dev, const PointsSoA& sample, double radius,
-                 double target_n);
+/// Choose the launch of `pts` on `be`. The default is `preferred` (null:
+/// the problem's registry baseline) at `block_size`. Above
+/// `plan_threshold` points, and only when `be` has
+/// plannable variants for the problem, the planner prices `be`'s own
+/// catalogue instead (memoized in `cache`, estimates corrected by
+/// `corrector`). A backend that cannot launch the default gets its first
+/// launchable variant for the problem. Throws CheckError when nothing is
+/// launchable.
+Choice choose(backend::IBackend& be, const PointsSoA& pts,
+              const kernels::ProblemDesc& desc,
+              const kernels::KernelVariant* preferred, int block_size,
+              std::size_t plan_threshold, PlanCache* cache,
+              const EstimateCorrector* corrector = nullptr);
 
 }  // namespace tbs::core

@@ -322,12 +322,14 @@ std::vector<std::vector<float>> cpu_knn(ThreadPool& pool,
           const Point3 pi = pts[i];
           for (std::size_t j = 0; j < n; ++j) d2[j] = dist2(pi, pts[j]);
           d2[i] = std::numeric_limits<float>::infinity();  // exclude self
-          std::vector<float> copy = d2;
-          std::nth_element(copy.begin(), copy.begin() + (k - 1), copy.end());
-          copy.resize(static_cast<std::size_t>(k));
-          std::sort(copy.begin(), copy.end());
-          for (auto& v : copy) v = std::sqrt(v);
-          result[i] = std::move(copy);
+          // Select in place on the scratch row, then build the result row
+          // from its k smallest values: a row owns k floats, never n.
+          const auto kth = d2.begin() + (k - 1);
+          std::nth_element(d2.begin(), kth, d2.end());
+          std::vector<float> row(d2.begin(), kth + 1);
+          std::sort(row.begin(), row.end());
+          for (auto& v : row) v = std::sqrt(v);
+          result[i] = std::move(row);
         }
       },
       cfg.chunk);

@@ -2,10 +2,13 @@
 
 #include <utility>
 
+#include "common/error.hpp"
 #include "cpubase/cpu_stats.hpp"
 #include "cpubase/tree_sdh.hpp"
 #include "kernels/pcf.hpp"
 #include "kernels/sdh.hpp"
+#include "kernels/type1.hpp"
+#include "kernels/type3.hpp"
 #include "vgpu/buffer.hpp"
 
 namespace tbs::kernels {
@@ -14,6 +17,8 @@ const char* to_string(ProblemType t) {
   switch (t) {
     case ProblemType::Sdh: return "SDH";
     case ProblemType::Pcf: return "PCF";
+    case ProblemType::Knn: return "kNN";
+    case ProblemType::Join: return "join";
   }
   return "?";
 }
@@ -50,6 +55,12 @@ vgpu::KernelStats cpu_launch_pcf(cpubase::ThreadPool& pool,
   const std::uint64_t pairs = cpubase::cpu_pcf_tiled(pool, pts, d.radius, cfg);
   if (out.pairs != nullptr) *out.pairs = pairs;
   return cpu_stats(block_size);
+}
+
+/// One SHM point tile per block: the shared demand of the warpsum PCF, kNN
+/// and join kernels.
+std::size_t tile_bytes(int block_size, int /*buckets*/) {
+  return vgpu::SharedPointsTile::bytes(static_cast<std::size_t>(block_size));
 }
 
 KernelVariant make_sdh(SdhVariant v, bool plannable) {
@@ -105,10 +116,7 @@ KernelVariant make_pcf_warpsum() {
   kv.problem = ProblemType::Pcf;
   kv.variant_id = -1;
   kv.plannable = false;
-  kv.shared_bytes = [](int block_size, int /*buckets*/) {
-    return vgpu::SharedPointsTile::bytes(
-        static_cast<std::size_t>(block_size));
-  };
+  kv.shared_bytes = tile_bytes;
   kv.launch = [](vgpu::Stream& stream, const PointsSoA& pts,
                  const ProblemDesc& d, int block_size, KernelOutput& out) {
     PcfResult r = run_pcf_warpsum(stream, pts, d.radius, block_size);
@@ -117,6 +125,59 @@ KernelVariant make_pcf_warpsum() {
   };
   kv.backends = kBackendAny;
   kv.launch_cpu = cpu_launch_pcf;
+  return kv;
+}
+
+/// All-point kNN: one register-resident kernel on the device, the
+/// per-point selection loop on the CPU. Both compute float distances the
+/// same way, so neighbour lists are bit-identical.
+KernelVariant make_knn() {
+  KernelVariant kv;
+  kv.name = "kNN";
+  kv.problem = ProblemType::Knn;
+  kv.baseline = true;
+  kv.backends = kBackendAny;
+  kv.shared_bytes = tile_bytes;
+  kv.launch = [](vgpu::Stream& stream, const PointsSoA& pts,
+                 const ProblemDesc& d, int block_size, KernelOutput& out) {
+    KnnResult r = run_knn(stream.device(), pts, d.k, block_size);
+    if (out.neighbours != nullptr) *out.neighbours = std::move(r.neighbours);
+    return r.stats;
+  };
+  kv.launch_cpu = [](cpubase::ThreadPool& pool, const cpubase::CpuConfig& cfg,
+                     const PointsSoA& pts, const ProblemDesc& d,
+                     int block_size, KernelOutput& out) {
+    auto rows = cpubase::cpu_knn(pool, pts, d.k, cfg);
+    if (out.neighbours != nullptr) *out.neighbours = std::move(rows);
+    return cpu_stats(block_size);
+  };
+  return kv;
+}
+
+/// Distance join with one of the two output strategies. The CPU peer is
+/// the same loop for both: they differ only in how the device emits pairs,
+/// and the pair *set* is the contract.
+KernelVariant make_join(JoinVariant v) {
+  KernelVariant kv;
+  kv.name = to_string(v);
+  kv.problem = ProblemType::Join;
+  kv.variant_id = static_cast<int>(v);
+  kv.baseline = v == JoinVariant::TwoPhase;
+  kv.backends = kBackendAny;
+  kv.shared_bytes = tile_bytes;
+  kv.launch = [v](vgpu::Stream& stream, const PointsSoA& pts,
+                  const ProblemDesc& d, int block_size, KernelOutput& out) {
+    JoinResult r = run_distance_join(stream, pts, d.radius, v, block_size);
+    if (out.join_pairs != nullptr) *out.join_pairs = std::move(r.pairs);
+    return r.stats;
+  };
+  kv.launch_cpu = [](cpubase::ThreadPool& pool, const cpubase::CpuConfig& cfg,
+                     const PointsSoA& pts, const ProblemDesc& d,
+                     int block_size, KernelOutput& out) {
+    auto pairs = cpubase::cpu_distance_join(pool, pts, d.radius, cfg);
+    if (out.join_pairs != nullptr) *out.join_pairs = std::move(pairs);
+    return cpu_stats(block_size);
+  };
   return kv;
 }
 
@@ -159,6 +220,7 @@ KernelRegistry::KernelRegistry() {
   variants_.push_back(make_sdh(SdhVariant::NaiveOut, /*plannable=*/true));
   variants_.push_back(make_sdh(SdhVariant::RegShmOut, /*plannable=*/true));
   variants_.push_back(make_sdh(SdhVariant::RegRocOut, /*plannable=*/true));
+  variants_.back().baseline = true;
   variants_.push_back(make_sdh(SdhVariant::RegShmLb, /*plannable=*/true));
   variants_.push_back(make_sdh(SdhVariant::ShuffleOut, /*plannable=*/true));
 
@@ -166,12 +228,19 @@ KernelRegistry::KernelRegistry() {
   variants_.push_back(make_pcf(PcfVariant::Naive, /*plannable=*/false));
   variants_.push_back(make_pcf(PcfVariant::ShmShm, /*plannable=*/true));
   variants_.push_back(make_pcf(PcfVariant::RegShm, /*plannable=*/true));
+  variants_.back().baseline = true;
   variants_.push_back(make_pcf(PcfVariant::RegRoc, /*plannable=*/true));
 
   variants_.push_back(make_pcf_warpsum());
 
   // Extension variants outside the paper's enum space register last.
   variants_.push_back(make_tree_sdh());
+
+  // Type-I kNN and Type-III join: one fixed variant each per query, never
+  // planned.
+  variants_.push_back(make_knn());
+  variants_.push_back(make_join(JoinVariant::GlobalCursor));
+  variants_.push_back(make_join(JoinVariant::TwoPhase));
 }
 
 const KernelRegistry& KernelRegistry::instance() {
@@ -209,6 +278,12 @@ const KernelVariant* KernelRegistry::find_by_id(ProblemType t,
   for (const KernelVariant& v : variants_)
     if (v.problem == t && v.variant_id == variant_id) return &v;
   return nullptr;
+}
+
+const KernelVariant& KernelRegistry::baseline(ProblemType t) const {
+  for (const KernelVariant& v : variants_)
+    if (v.problem == t && v.baseline) return v;
+  fail("KernelRegistry: problem type has no baseline variant");
 }
 
 }  // namespace tbs::kernels

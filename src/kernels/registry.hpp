@@ -1,13 +1,15 @@
 // Generic kernel registry — the single catalogue of every 2-body-statistics
-// kernel variant the simulator implements.
+// kernel variant the system launches.
 //
 // Before this registry existed, the planner, the framework facade, and each
 // benchmark carried its own hand-rolled switch over SdhVariant / PcfVariant
 // plus a parallel table of shared-memory formulas. The registry collapses
 // that plumbing: a variant registers once with its name, problem type,
 // shared-memory requirement, and a type-erased launch functor, and every
-// consumer (core/planner.cpp, core/framework.cpp, bench/) enumerates the
-// same table. Adding a ninth SDH variant is now a one-entry change.
+// consumer (core/planner.cpp, core/framework.cpp, serve/, bench/)
+// enumerates the same table. It covers every served problem — SDH, PCF,
+// kNN and distance join — so a query only ever reaches a substrate through
+// a registry launch. Adding a ninth SDH variant is a one-entry change.
 #pragma once
 
 #include <cstddef>
@@ -15,6 +17,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/histogram.hpp"
@@ -30,19 +33,22 @@ struct CpuConfig;
 namespace tbs::kernels {
 
 /// Which 2-body statistic a kernel computes (paper Sec. III taxonomy:
-/// Type-I = scalar-per-thread output, Type-II = histogram output).
-enum class ProblemType { Sdh, Pcf };
+/// Type-I = register-resident output (PCF, kNN), Type-II = histogram
+/// output (SDH), Type-III = global-memory output (distance join)).
+enum class ProblemType { Sdh, Pcf, Knn, Join };
 
 const char* to_string(ProblemType t);
 
 /// Everything a launch needs to know about the *problem* (as opposed to the
-/// kernel): histogram geometry for SDH, cutoff radius for PCF. One struct so
-/// the planner and cache can key on it generically.
+/// kernel): histogram geometry for SDH, cutoff radius for PCF and join,
+/// neighbour count for kNN. One struct so the planner and cache can key on
+/// it generically.
 struct ProblemDesc {
   ProblemType type = ProblemType::Sdh;
   double bucket_width = 0.0;  ///< SDH only
   int buckets = 0;            ///< SDH only
-  double radius = 0.0;        ///< PCF only
+  double radius = 0.0;        ///< PCF and join
+  int k = 0;                  ///< kNN only
 
   static ProblemDesc sdh(double bucket_width, int buckets) {
     ProblemDesc d;
@@ -58,14 +64,31 @@ struct ProblemDesc {
     d.radius = radius;
     return d;
   }
+
+  static ProblemDesc knn(int k) {
+    ProblemDesc d;
+    d.type = ProblemType::Knn;
+    d.k = k;
+    return d;
+  }
+
+  static ProblemDesc join(double radius) {
+    ProblemDesc d;
+    d.type = ProblemType::Join;
+    d.radius = radius;
+    return d;
+  }
 };
 
 /// Output sinks for a registry launch. A consumer passes pointers for the
 /// outputs it wants; a variant fills whichever match its problem type
-/// (hist for SDH, pairs for PCF) and ignores the rest.
+/// (hist for SDH, pairs for PCF, neighbours for kNN, join_pairs for join)
+/// and ignores the rest.
 struct KernelOutput {
   Histogram* hist = nullptr;
   std::uint64_t* pairs = nullptr;
+  std::vector<std::vector<float>>* neighbours = nullptr;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>>* join_pairs = nullptr;
 };
 
 /// Execution substrates a variant can launch on, as a bitmask. The seam is
@@ -81,14 +104,18 @@ struct KernelVariant {
   /// Paper-figure name, e.g. "Reg-SHM-Out" — matches to_string(SdhVariant).
   std::string name;
   ProblemType problem = ProblemType::Sdh;
-  /// The underlying enum value (static_cast of SdhVariant / PcfVariant);
-  /// -1 for variants outside those enums (e.g. the warpsum extension or
-  /// the CPU-only tree path).
+  /// The underlying enum value (static_cast of SdhVariant / PcfVariant /
+  /// JoinVariant); -1 for variants outside those enums (e.g. the warpsum
+  /// extension, the CPU-only tree path, or the single kNN kernel).
   int variant_id = -1;
   /// Whether the autotuning planner should consider this variant. Mirrors
   /// the paper's evaluation: naive baselines exist for figures, not for
   /// serving real queries.
   bool plannable = false;
+  /// The problem's default: what a launch runs when neither the caller nor
+  /// the planner picks another variant, and the planner-free fallback.
+  /// Exactly one variant per problem type sets it.
+  bool baseline = false;
   /// Which backends this variant can execute on (kBackendVgpu/kBackendCpu
   /// bits). A variant only ever launches through a backend whose bit it
   /// declares; the matching launch functor below must be set.
@@ -154,6 +181,11 @@ class KernelRegistry {
   /// prediction for the variant that produced it.
   [[nodiscard]] const KernelVariant* find_by_id(ProblemType t,
                                                 int variant_id) const;
+
+  /// The problem type's default variant (the one flagged `baseline`):
+  /// Reg-ROC-Out for SDH, Register-SHM for PCF, the kNN kernel, and the
+  /// two-phase join.
+  [[nodiscard]] const KernelVariant& baseline(ProblemType t) const;
 
  private:
   KernelRegistry();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <exception>
+#include <limits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -15,13 +16,8 @@ namespace tbs::serve {
 
 namespace {
 
-/// Ledger label for the query's problem kind.
-const char* query_kind(const Query& q) {
-  if (std::holds_alternative<SdhQuery>(q)) return "sdh";
-  if (std::holds_alternative<PcfQuery>(q)) return "pcf";
-  if (std::holds_alternative<KnnQuery>(q)) return "knn";
-  return "join";
-}
+/// Block size of every unplanned launch.
+constexpr int kDefaultBlock = 256;
 
 double wall_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -306,7 +302,7 @@ std::optional<QueryEngine::ResultFuture> QueryEngine::submit_impl(
         // no phases ran, the whole cost is the lookup itself.
         obs::QueryCost qc;
         qc.trace_id = root.trace_id;
-        qc.kind = query_kind(query);
+        qc.kind = kind_name(query);
         qc.dataset_fp = fp;
         qc.cache_hit = true;
         qc.total_seconds = seconds;
@@ -325,7 +321,7 @@ std::optional<QueryEngine::ResultFuture> QueryEngine::submit_impl(
         // the ledger — that would double-count the query).
         if (opts.cost) {
           opts.cost->trace_id = root.trace_id;
-          opts.cost->kind = query_kind(query);
+          opts.cost->kind = kind_name(query);
           opts.cost->dataset_fp = fp;
           opts.cost->coalesced = true;
         }
@@ -337,6 +333,7 @@ std::optional<QueryEngine::ResultFuture> QueryEngine::submit_impl(
       auto job = std::make_shared<Job>();
       job->key = key;
       job->query = query;
+      job->problem = problem_of(query);
       job->pts = std::make_shared<const PointsSoA>(pts);
       job->submitted = t0;
       job->deadline = deadline;
@@ -351,7 +348,7 @@ std::optional<QueryEngine::ResultFuture> QueryEngine::submit_impl(
       job->input_checksum = input_sum;
       job->cost_sink = opts.cost;
       job->cost.trace_id = job->ctx.trace_id;
-      job->cost.kind = query_kind(job->query);
+      job->cost.kind = kind_name(job->query);
       job->cost.dataset_fp = fp;
       ResultFuture fut = job->promise.get_future().share();
       if (queue_.try_push(job)) {
@@ -679,7 +676,7 @@ QueryEngine::Outcome QueryEngine::run_ladder(
     const Clock::time_point a0 = Clock::now();
     try {
       const std::lock_guard<std::mutex> dev_lock(ctx.mu);
-      result = execute(ctx.be, *job, qc);
+      result = execute(ctx.be, *job, qc, /*degraded=*/false);
       // Algebraic invariants (Eq. 1) gate every answer before it counts as
       // a success; a breach throws IntegrityError into this rung's catch
       // as a non-transient fault, pushing the ladder to an independent
@@ -742,7 +739,7 @@ QueryEngine::Outcome QueryEngine::run_ladder(
     const Clock::time_point f0 = Clock::now();
     try {
       const std::lock_guard<std::mutex> failover_lock(failover_mu_);
-      result = execute(failover_backend(), *job, qc);
+      result = execute(failover_backend(), *job, qc, /*degraded=*/false);
       verify_result(job->query, job->pts->size(), result,
                     "QueryEngine failover rung");
       failover_span.attr("to", failover_backend().caps().name);
@@ -765,19 +762,16 @@ QueryEngine::Outcome QueryEngine::run_ladder(
 
   // Rung 3: the degraded baseline — a fixed, planner-free registry variant.
   // Only meaningful for queries whose normal path is planned (SDH/PCF).
-  if (cfg_.degrade && has_baseline(job->query)) {
+  if (cfg_.degrade && has_degraded_rung(*job)) {
     const Clock::time_point d0 = Clock::now();
     try {
       const std::lock_guard<std::mutex> dev_lock(ctx.mu);
-      result = execute_degraded(ctx.be, *job);
+      result = execute(ctx.be, *job, qc, /*degraded=*/true);
       verify_result(job->query, job->pts->size(), result,
                     "QueryEngine degraded rung");
       breaker.record_success();
       degraded = true;
       job->eventful = true;
-      // The baseline bypasses execute(), so attribute its launch here.
-      qc.phase(obs::CostPhase::Launch).seconds += wall_since(d0);
-      qc.backend = ctx.be.caps().name;
       error = nullptr;
       return Outcome::Success;
     } catch (const vgpu::DeviceError& e) {
@@ -817,14 +811,16 @@ QueryEngine::Outcome QueryEngine::run_ladder(
   return Outcome::Fail;
 }
 
-bool QueryEngine::has_baseline(const Query& query) {
-  return std::holds_alternative<SdhQuery>(query) ||
-         std::holds_alternative<PcfQuery>(query);
+bool QueryEngine::has_degraded_rung(const Job& job) {
+  return !kernels::KernelRegistry::instance()
+              .plannable(job.problem.desc.type, kernels::kBackendAny)
+              .empty();
 }
 
 bool QueryEngine::wants_sharding(const Job& job) {
-  return job.shards >= 2 && (std::holds_alternative<SdhQuery>(job.query) ||
-                             std::holds_alternative<PcfQuery>(job.query));
+  const kernels::ProblemType t = job.problem.desc.type;
+  return job.shards >= 2 &&
+         (t == kernels::ProblemType::Sdh || t == kernels::ProblemType::Pcf);
 }
 
 bool QueryEngine::run_sharded(WorkerCtx& ctx,
@@ -845,13 +841,6 @@ bool QueryEngine::run_sharded(WorkerCtx& ctx,
     lanes.push_back(shard::Lane{&cpu_slots_[i]->be, &cpu_slots_[i]->mu,
                                 "cpu" + std::to_string(i)});
 
-  const kernels::ProblemDesc desc =
-      std::holds_alternative<SdhQuery>(job->query)
-          ? kernels::ProblemDesc::sdh(
-                std::get<SdhQuery>(job->query).bucket_width,
-                std::get<SdhQuery>(job->query).buckets)
-          : kernels::ProblemDesc::pcf(std::get<PcfQuery>(job->query).radius);
-
   // Sharded jobs skip the planner: calibration launches cannot safely run
   // while the executor interleaves tile launches over the same lane
   // mutexes, so tiles use the fixed dual-backend default variant.
@@ -868,7 +857,7 @@ bool QueryEngine::run_sharded(WorkerCtx& ctx,
   const Clock::time_point s0 = Clock::now();
   try {
     shard::Report rep = ex.run(
-        lanes, *job->pts, desc, sopt,
+        lanes, *job->pts, job->problem.desc, sopt,
         [&](std::size_t lane, std::size_t tiles) {
           c_shard_lanes_lost_.inc();
           c_shard_tiles_failed_over_.inc(tiles);
@@ -959,17 +948,10 @@ bool QueryEngine::run_sharded(WorkerCtx& ctx,
                            now - dur(rep.merge_seconds), now, tctx,
                            {{"tiles", tiles}}, tid);
     }
-    if (std::holds_alternative<SdhQuery>(job->query)) {
-      kernels::SdhResult r;
-      r.hist = std::move(rep.hist);
-      r.stats = rep.stats;
-      result = std::move(r);
-    } else {
-      kernels::PcfResult r;
-      r.pairs_within = rep.pairs;
-      r.stats = rep.stats;
-      result = std::move(r);
-    }
+    const kernels::KernelOutput out = output_sinks(job->query, result);
+    if (out.hist != nullptr) *out.hist = std::move(rep.hist);
+    if (out.pairs != nullptr) *out.pairs = rep.pairs;
+    std::visit([&](auto& r) { r.stats = rep.stats; }, result);
     error = nullptr;
     return true;
   } catch (const vgpu::DeviceError& e) {
@@ -995,211 +977,66 @@ bool QueryEngine::run_sharded(WorkerCtx& ctx,
   }
 }
 
-namespace {
-
-/// Host-side stats for CPU executions that bypass the registry seam (kNN
-/// and join have no registry entry yet): one launch, no simulated-device
-/// counters — the shape obs::check_drift's skip rule expects.
-vgpu::KernelStats host_stats() {
-  vgpu::KernelStats s;
-  s.launches = 1;
-  s.grid_dim = 1;
-  s.block_dim = 1;
-  return s;
-}
-
-}  // namespace
-
 QueryResult QueryEngine::execute(backend::IBackend& be, const Job& job,
-                                 obs::QueryCost& qc) {
+                                 obs::QueryCost& qc, bool degraded) {
   const PointsSoA& pts = *job.pts;
-  const auto& registry = kernels::KernelRegistry::instance();
   // Cost/feedback capture. Phase seconds are staged in locals and committed
   // to `qc` only after a successful launch (commit-on-success): when an
   // attempt throws, the ladder charges its whole wall time to waste, and
-  // partially-filled phases would double-count it.
-  double plan_seconds = 0.0;
-  core::Plan chosen;
-  bool planned_used = false;
-  // Planned problems (SDH/PCF) pick their variant per backend: the default
-  // is the registry baseline; above the plan threshold the planner prices
-  // this worker's backend's own catalogue (so a CPU worker can win with
-  // Tree-SDH while a vgpu worker picks a shared-memory variant), with
-  // estimates bias-corrected by the engine's EstimateCorrector.
-  const auto planned = [&](const kernels::ProblemDesc& desc,
-                           int default_id) -> std::pair<const kernels::KernelVariant*, int> {
-    const kernels::KernelVariant* kernel =
-        registry.find_by_id(desc.type, default_id);
-    int block = 256;
-    if (pts.size() > cfg_.plan_threshold) {
-      const Clock::time_point p0 = Clock::now();
-      backend::IBackend* one[] = {&be};
-      const core::Plan p = core::plan(one, pts, desc,
-                                      static_cast<double>(pts.size()),
-                                      &plan_cache_, &corrector_);
-      plan_seconds += wall_since(p0);
-      chosen = p;
-      planned_used = true;
-      kernel = p.kernel;
-      block = p.block_size;
-    } else if (kernel != nullptr && !be.can_launch(*kernel, desc, block)) {
-      // Small-N fast path on a backend that can't run the vgpu baseline
-      // (a CPU worker): fall back to its first launchable variant.
-      for (const kernels::KernelVariant* v :
-           registry.for_problem(desc.type, be.caps().registry_mask)) {
-        if (be.can_launch(*v, desc, block)) {
-          kernel = v;
-          break;
-        }
-      }
-    }
-    check(kernel != nullptr && be.can_launch(*kernel, desc, block),
-          "QueryEngine: no launchable variant for this backend");
-    return {kernel, block};
-  };
+  // partially-filled phases would double-count it. The planner prices this
+  // worker's backend's own catalogue (so a CPU worker can win with Tree-SDH
+  // while a vgpu worker picks a shared-memory variant), with estimates
+  // bias-corrected by the engine's EstimateCorrector; the degraded fallback
+  // never plans.
+  const Clock::time_point p0 = Clock::now();
+  const core::Choice choice = core::choose(
+      be, pts, job.problem.desc, job.problem.variant, kDefaultBlock,
+      degraded ? std::numeric_limits<std::size_t>::max() : cfg_.plan_threshold,
+      &plan_cache_, &corrector_);
+  const double plan_seconds = choice.plan ? wall_since(p0) : 0.0;
+
+  QueryResult result;
+  kernels::KernelOutput out = output_sinks(job.query, result);
+  const Clock::time_point l0 = Clock::now();
+  const vgpu::KernelStats stats = be.launch(
+      *choice.kernel, pts, job.problem.desc, choice.block_size, out);
+  const double launch_wall = wall_since(l0);
+  std::visit(
+      [&](auto& r) {
+        r.stats = stats;
+        r.degraded = degraded;
+      },
+      result);
+
   // Successful-launch epilogue: feed the corrector with the measured
   // seconds on the estimate's own clock (modeled device seconds for vgpu,
   // wall for cpu — what IBackend::estimate() predicts) and commit this
   // attempt's plan/launch phases plus the feedback triple to the ledger.
-  const auto account = [&](const vgpu::KernelStats& stats,
-                           double launch_wall) {
-    double measured = launch_wall;
-    if (auto* vb = dynamic_cast<backend::VgpuBackend*>(&be);
-        vb != nullptr && stats.block_dim > 0)
-      measured = perfmodel::model_time(vb->device().spec(), stats).seconds;
-    if (planned_used && chosen.raw_predicted_seconds > 0.0 && measured > 0.0)
-      corrector_.observe(chosen.backend_name, chosen.variant_key,
+  double measured = launch_wall;
+  if (be.caps().kind == backend::Kind::Vgpu && stats.block_dim > 0)
+    measured = perfmodel::model_time(cfg_.spec, stats).seconds;
+  if (const std::optional<core::Plan>& p = choice.plan) {
+    if (p->raw_predicted_seconds > 0.0 && measured > 0.0)
+      corrector_.observe(p->backend_name, p->variant_key,
                          static_cast<double>(pts.size()),
-                         chosen.raw_predicted_seconds, measured);
-    qc.backend = be.caps().name;
-    if (planned_used) {
-      qc.variant = chosen.variant_key;
-      qc.estimate_seconds = chosen.predicted_seconds;
-      qc.raw_estimate_seconds = chosen.raw_predicted_seconds;
-    }
-    qc.phase(obs::CostPhase::Plan).seconds += plan_seconds;
-    qc.phase(obs::CostPhase::Launch).seconds += launch_wall;
-    qc.phase(obs::CostPhase::Launch).device_cycles +=
-        static_cast<double>(stats.total_warp_cycles);
-    qc.measured_seconds = measured;
-  };
-  return std::visit(
-      [&](const auto& q) -> QueryResult {
-        using Q = std::decay_t<decltype(q)>;
-        if constexpr (std::is_same_v<Q, SdhQuery>) {
-          const kernels::ProblemDesc desc =
-              kernels::ProblemDesc::sdh(q.bucket_width, q.buckets);
-          const auto [kernel, block] = planned(
-              desc, static_cast<int>(kernels::SdhVariant::RegRocOut));
-          kernels::SdhResult r;
-          kernels::KernelOutput out;
-          out.hist = &r.hist;
-          const Clock::time_point l0 = Clock::now();
-          r.stats = be.launch(*kernel, pts, desc, block, out);
-          account(r.stats, wall_since(l0));
-          return r;
-        } else if constexpr (std::is_same_v<Q, PcfQuery>) {
-          const kernels::ProblemDesc desc = kernels::ProblemDesc::pcf(q.radius);
-          const auto [kernel, block] =
-              planned(desc, static_cast<int>(kernels::PcfVariant::RegShm));
-          kernels::PcfResult r;
-          kernels::KernelOutput out;
-          out.pairs = &r.pairs_within;
-          const Clock::time_point l0 = Clock::now();
-          r.stats = be.launch(*kernel, pts, desc, block, out);
-          account(r.stats, wall_since(l0));
-          return r;
-        } else if constexpr (std::is_same_v<Q, KnnQuery>) {
-          if (auto* vb = dynamic_cast<backend::VgpuBackend*>(&be)) {
-            const Clock::time_point l0 = Clock::now();
-            kernels::KnnResult r =
-                kernels::run_knn(vb->device(), pts, q.k, /*block_size=*/256);
-            account(r.stats, wall_since(l0));
-            return r;
-          }
-          auto* cb = dynamic_cast<backend::CpuBackend*>(&be);
-          check(cb != nullptr, "QueryEngine: unknown backend kind for kNN");
-          kernels::KnnResult r;
-          const Clock::time_point l0 = Clock::now();
-          r.neighbours = cpubase::cpu_knn(cb->pool(), pts, q.k);
-          r.stats = host_stats();
-          account(r.stats, wall_since(l0));
-          return r;
-        } else {
-          static_assert(std::is_same_v<Q, JoinQuery>);
-          if (auto* vb = dynamic_cast<backend::VgpuBackend*>(&be)) {
-            const Clock::time_point l0 = Clock::now();
-            kernels::JoinResult r = kernels::run_distance_join(
-                vb->stream(), pts, q.radius, q.variant, /*block_size=*/256);
-            account(r.stats, wall_since(l0));
-            return r;
-          }
-          auto* cb = dynamic_cast<backend::CpuBackend*>(&be);
-          check(cb != nullptr, "QueryEngine: unknown backend kind for join");
-          kernels::JoinResult r;
-          const Clock::time_point l0 = Clock::now();
-          r.pairs = cpubase::cpu_distance_join(cb->pool(), pts, q.radius);
-          r.stats = host_stats();
-          account(r.stats, wall_since(l0));
-          return r;
-        }
-      },
-      job.query);
-}
-
-QueryResult QueryEngine::execute_degraded(backend::IBackend& be,
-                                          const Job& job) {
-  const PointsSoA& pts = *job.pts;
-  // Baselines come from the registry (the "known-safe variant" contract):
-  // the planner is bypassed entirely — no calibration launches, one fixed
-  // block size — so the fallback runs the minimum possible device work.
-  constexpr int kBaselineBlock = 256;
-  const auto& registry = kernels::KernelRegistry::instance();
-  return std::visit(
-      [&](const auto& q) -> QueryResult {
-        using Q = std::decay_t<decltype(q)>;
-        if constexpr (std::is_same_v<Q, SdhQuery>) {
-          const kernels::ProblemDesc desc =
-              kernels::ProblemDesc::sdh(q.bucket_width, q.buckets);
-          const kernels::KernelVariant* baseline = registry.find_by_id(
-              kernels::ProblemType::Sdh,
-              static_cast<int>(kernels::SdhVariant::RegRocOut));
-          check(baseline != nullptr,
-                "QueryEngine: SDH baseline variant missing from registry");
-          kernels::SdhResult r;
-          kernels::KernelOutput out;
-          out.hist = &r.hist;
-          r.stats = be.launch(*baseline, pts, desc, kBaselineBlock, out);
-          r.degraded = true;
-          return r;
-        } else if constexpr (std::is_same_v<Q, PcfQuery>) {
-          const kernels::ProblemDesc desc =
-              kernels::ProblemDesc::pcf(q.radius);
-          const kernels::KernelVariant* baseline = registry.find_by_id(
-              kernels::ProblemType::Pcf,
-              static_cast<int>(kernels::PcfVariant::RegShm));
-          check(baseline != nullptr,
-                "QueryEngine: PCF baseline variant missing from registry");
-          kernels::PcfResult r;
-          kernels::KernelOutput out;
-          out.pairs = &r.pairs_within;
-          r.stats = be.launch(*baseline, pts, desc, kBaselineBlock, out);
-          r.degraded = true;
-          return r;
-        } else {
-          check(false,
-                "QueryEngine: no degraded baseline for this query type");
-          throw ServeError("unreachable");
-        }
-      },
-      job.query);
+                         p->raw_predicted_seconds, measured);
+    qc.variant = p->variant_key;
+    qc.estimate_seconds = p->predicted_seconds;
+    qc.raw_estimate_seconds = p->raw_predicted_seconds;
+  }
+  qc.backend = be.caps().name;
+  qc.phase(obs::CostPhase::Plan).seconds += plan_seconds;
+  qc.phase(obs::CostPhase::Launch).seconds += launch_wall;
+  qc.phase(obs::CostPhase::Launch).device_cycles +=
+      static_cast<double>(stats.total_warp_cycles);
+  qc.measured_seconds = measured;
+  return result;
 }
 
 bool QueryEngine::maybe_audit(WorkerCtx& ctx,
                               const std::shared_ptr<Job>& job,
                               QueryResult& result) {
   if (!integrity_enabled()) return false;
-  if (!has_baseline(job->query)) return false;  // SDH/PCF only
   bool sampled = job->integrity_flagged;
   if (!sampled && cfg_.audit_rate > 0.0) {
     // Deterministic per-submission sampling: the same workload audits the
@@ -1219,7 +1056,9 @@ bool QueryEngine::maybe_audit(WorkerCtx& ctx,
   QueryResult reference;
   try {
     const std::lock_guard<std::mutex> lock(failover_mu_);
-    reference = execute_degraded(failover_backend(), *job);
+    obs::QueryCost audit_cost;  // the reference run is not the query's cost
+    reference =
+        execute(failover_backend(), *job, audit_cost, /*degraded=*/true);
   } catch (...) {
     // The reference lane itself failed; there is nothing to compare
     // against, so the primary answer stands.

@@ -9,10 +9,10 @@
 //   ──────────────                 ────────────────────────────────
 //   result-cache lookup ──hit──▶   (no work: ready future)
 //   in-flight coalescing ─dup──▶   (no work: share the winner's future)
-//   bounded MPMC queue  ──────▶    pop → plan (shared PlanCache, single-
-//     · try_submit: reject when      flight calibration) → launch through
-//       full (admission control)     the worker's vgpu::Stream on its
-//     · submit: block for a slot     device → store in the LRU cache →
+//   bounded MPMC queue  ──────▶    pop → core::choose (shared PlanCache,
+//     · try_submit: reject when      single-flight calibration) → one
+//       full (admission control)     IBackend::launch on the worker's
+//     · submit: block for a slot     backend → store in the LRU cache →
 //       (backpressure)               fulfill every attached promise
 //
 // Results are deterministic: every kernel the engine dispatches is
@@ -135,7 +135,8 @@ class QueryEngine {
     bool backend_failover = false;
     std::size_t queue_capacity = 64;    ///< admission-control bound
     std::size_t cache_capacity = 128;   ///< LRU entries; 0 disables caching
-    std::size_t plan_threshold = 2048;  ///< auto-plan SDH/PCF above this N
+    /// Auto-plan SDH/PCF above this N.
+    std::size_t plan_threshold = core::kPlanThreshold;
     bool autostart = true;              ///< spawn workers in the constructor
     vgpu::DeviceSpec spec{};            ///< spec shared by every device
     /// Span sink for the engine's submit/queue/execute/launch spans.
@@ -182,10 +183,11 @@ class QueryEngine {
     /// vectors leave the remaining devices healthy). Empty = no chaos.
     std::vector<vgpu::FaultPlan> faults{};
     /// Sampled cross-backend audit rate: this fraction of successfully
-    /// completed SDH/PCF answers is re-executed on the independent CPU
-    /// failover backend and compared bit-exact before delivery. Sampling
-    /// is deterministic per submission sequence number (audit_seed), and
-    /// every invariant-flagged query is audited regardless of the rate.
+    /// completed answers (every query type) is re-executed on the
+    /// independent CPU failover backend and compared bit-exact before
+    /// delivery. Sampling is deterministic per submission sequence number
+    /// (audit_seed), and every invariant-flagged query is audited
+    /// regardless of the rate.
     /// A mismatch quarantines the producing worker's breaker, purges the
     /// cache entries that backend wrote, and delivers the audited answer.
     /// 0 disables sampling (flagged queries are still audited when > 0).
@@ -335,6 +337,7 @@ class QueryEngine {
   struct Job {
     std::string key;
     Query query;
+    Problem problem;  ///< problem_of(query), resolved once at submit
     std::shared_ptr<const PointsSoA> pts;
     std::promise<QueryResult> promise;
     Clock::time_point submitted{};
@@ -441,28 +444,26 @@ class QueryEngine {
   /// DeadlineExceeded delivered through the future.
   void finish_expired(std::size_t worker_index, const std::shared_ptr<Job>& job);
 
-  /// Run one query through a backend handle: planned SDH/PCF launch the
-  /// winning registry variant (Tree-SDH included on CPU backends) via
-  /// IBackend::launch; kNN and join dispatch on the substrate kind. The
-  /// caller holds the backend's launch lock. Fills `qc`'s plan/launch
-  /// phases and estimate-vs-measured fields (commit-on-success: a throw
-  /// leaves `qc` untouched so the caller can charge the attempt to waste),
-  /// and feeds the planner's estimate corrector.
+  /// Run one query of any type through a backend handle: core::choose
+  /// picks the registry variant (the query's default, planned above the
+  /// threshold — Tree-SDH included on CPU backends), then one
+  /// IBackend::launch runs it. `degraded` is the known-safe fallback: the
+  /// planner is bypassed and the result is tagged degraded. The caller
+  /// holds the backend's launch lock. Fills `qc`'s plan/launch phases and
+  /// estimate-vs-measured fields (commit-on-success: a throw leaves `qc`
+  /// untouched so the caller can charge the attempt to waste), and feeds
+  /// the planner's estimate corrector.
   QueryResult execute(backend::IBackend& be, const Job& job,
-                      obs::QueryCost& qc);
-
-  /// Known-safe fallback: fixed registry baseline (planner bypassed) for
-  /// SDH/PCF, launched through the same backend seam. Precondition:
-  /// has_baseline(job.query).
-  QueryResult execute_degraded(backend::IBackend& be, const Job& job);
+                      obs::QueryCost& qc, bool degraded);
 
   /// The shared CPU backend behind the failover rung, created on first
   /// use. Caller must hold failover_mu_.
   backend::CpuBackend& failover_backend();
 
-  /// True when the query has a degraded rung distinct from its normal path
-  /// (planned SDH/PCF; kNN and join already run their only variant).
-  static bool has_baseline(const Query& query);
+  /// True when the query has a degraded rung distinct from its normal path:
+  /// its problem has plannable variants (SDH/PCF; kNN and join already run
+  /// their fixed variant).
+  static bool has_degraded_rung(const Job& job);
 
   /// True when the job asked for sharded execution and the query type
   /// supports it (SDH/PCF — the 2-BS kernels with a tile decomposition).

@@ -14,6 +14,31 @@ const char* kind_name(const Query& q) {
   return "?";
 }
 
+Problem problem_of(const Query& q) {
+  using kernels::ProblemDesc;
+  if (const auto* s = std::get_if<SdhQuery>(&q))
+    return {ProblemDesc::sdh(s->bucket_width, s->buckets)};
+  if (const auto* p = std::get_if<PcfQuery>(&q))
+    return {ProblemDesc::pcf(p->radius)};
+  if (const auto* k = std::get_if<KnnQuery>(&q))
+    return {ProblemDesc::knn(k->k)};
+  const auto& j = std::get<JoinQuery>(q);
+  return {ProblemDesc::join(j.radius),
+          kernels::KernelRegistry::instance().find_by_id(
+              kernels::ProblemType::Join, static_cast<int>(j.variant))};
+}
+
+kernels::KernelOutput output_sinks(const Query& q, QueryResult& r) {
+  kernels::KernelOutput out;
+  switch (q.index()) {
+    case 0: out.hist = &r.emplace<kernels::SdhResult>().hist; break;
+    case 1: out.pairs = &r.emplace<kernels::PcfResult>().pairs_within; break;
+    case 2: out.neighbours = &r.emplace<kernels::KnnResult>().neighbours; break;
+    default: out.join_pairs = &r.emplace<kernels::JoinResult>().pairs; break;
+  }
+  return out;
+}
+
 std::uint64_t dataset_fingerprint(const PointsSoA& pts) {
   // Delegates to the shared FNV-1a in common/fingerprint.hpp — the shard
   // subsystem fingerprints staged shards with the same family, and the

@@ -13,6 +13,7 @@
 
 #include "common/points.hpp"
 #include "kernels/pcf.hpp"
+#include "kernels/registry.hpp"
 #include "kernels/sdh.hpp"
 #include "kernels/type1.hpp"
 #include "kernels/type3.hpp"
@@ -49,6 +50,21 @@ using QueryResult = std::variant<kernels::SdhResult, kernels::PcfResult,
 
 /// Short kind tag ("sdh", "pcf", "knn", "join") for keys and dashboards.
 const char* kind_name(const Query& q);
+
+/// How a query maps onto the kernel registry: the problem it computes and
+/// the variant it launches unless the planner or the backend picks another
+/// (the join query's own output strategy; null means the registry
+/// baseline).
+struct Problem {
+  kernels::ProblemDesc desc;
+  const kernels::KernelVariant* variant = nullptr;
+};
+Problem problem_of(const Query& q);
+
+/// Reset `r` to an empty result of the query's kind and return registry
+/// output sinks aimed at its payload (valid until `r` is moved or
+/// reassigned).
+kernels::KernelOutput output_sinks(const Query& q, QueryResult& r);
 
 /// FNV-1a over the point count and raw coordinate bytes. Identifies the
 /// dataset by content, so equal point sets hash equal regardless of which

@@ -3,10 +3,10 @@
 //
 // Every registry variant that declares both backends is launched through
 // VgpuBackend and CpuBackend on the same point set and compared exactly
-// (integer histogram counts / pair counts, so "bit-identical" is a plain
-// equality). The CPU-only Tree-SDH path is checked against the vgpu
-// baseline, and the Type-I / Type-III problems (which live outside the
-// registry) are compared through their cpubase peers.
+// (integer histogram counts / pair counts / float neighbour distances, so
+// "bit-identical" is a plain equality; join pairs compare as sets). The
+// CPU-only Tree-SDH path is checked against the vgpu baseline, and the kNN
+// and join kernels are also compared directly against their cpubase peers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -119,6 +119,70 @@ TEST_F(BackendParity, EveryDualBackendPcfVariantMatchesBitForBit) {
     ++compared;
   }
   EXPECT_GE(compared, 1) << "dual-backend PCF catalogue unexpectedly small";
+}
+
+TEST_F(BackendParity, EveryDualBackendKnnVariantMatchesBitForBit) {
+  const PointsSoA pts = test_points();
+  const auto desc = kernels::ProblemDesc::knn(4);
+
+  int compared = 0;
+  for (const kernels::KernelVariant& v :
+       kernels::KernelRegistry::instance().variants()) {
+    if (v.problem != kernels::ProblemType::Knn) continue;
+    if (!v.supports(kernels::kBackendVgpu) ||
+        !v.supports(kernels::kBackendCpu))
+      continue;
+    const int block = usable_block(vgpu_be_, cpu_be_, v, desc);
+    ASSERT_GT(block, 0) << v.name;
+
+    std::vector<std::vector<float>> rows_vgpu;
+    std::vector<std::vector<float>> rows_cpu;
+    kernels::KernelOutput out_v;
+    out_v.neighbours = &rows_vgpu;
+    kernels::KernelOutput out_c;
+    out_c.neighbours = &rows_cpu;
+    (void)vgpu_be_.launch(v, pts, desc, block, out_v);
+    (void)cpu_be_.launch(v, pts, desc, block, out_c);
+
+    ASSERT_EQ(rows_vgpu.size(), pts.size()) << v.name;
+    EXPECT_EQ(rows_vgpu, rows_cpu) << v.name;
+    ++compared;
+  }
+  EXPECT_GE(compared, 1) << "dual-backend kNN catalogue unexpectedly small";
+}
+
+TEST_F(BackendParity, EveryDualBackendJoinVariantMatchesAsASet) {
+  const PointsSoA pts = test_points();
+  const auto desc = kernels::ProblemDesc::join(1.5);
+
+  int compared = 0;
+  for (const kernels::KernelVariant& v :
+       kernels::KernelRegistry::instance().variants()) {
+    if (v.problem != kernels::ProblemType::Join) continue;
+    if (!v.supports(kernels::kBackendVgpu) ||
+        !v.supports(kernels::kBackendCpu))
+      continue;
+    const int block = usable_block(vgpu_be_, cpu_be_, v, desc);
+    ASSERT_GT(block, 0) << v.name;
+
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs_vgpu;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs_cpu;
+    kernels::KernelOutput out_v;
+    out_v.join_pairs = &pairs_vgpu;
+    kernels::KernelOutput out_c;
+    out_c.join_pairs = &pairs_cpu;
+    (void)vgpu_be_.launch(v, pts, desc, block, out_v);
+    (void)cpu_be_.launch(v, pts, desc, block, out_c);
+
+    // Pair *order* is unspecified on both sides; the pair set is the
+    // contract.
+    std::sort(pairs_vgpu.begin(), pairs_vgpu.end());
+    std::sort(pairs_cpu.begin(), pairs_cpu.end());
+    EXPECT_FALSE(pairs_cpu.empty()) << v.name;
+    EXPECT_EQ(pairs_vgpu, pairs_cpu) << v.name;
+    ++compared;
+  }
+  EXPECT_GE(compared, 2) << "dual-backend join catalogue unexpectedly small";
 }
 
 TEST_F(BackendParity, TreeSdhMatchesTheVgpuBaseline) {

@@ -23,15 +23,15 @@ TEST(Framework, SmallInputSkipsPlanning) {
   TwoBodyFramework fw;
   const auto pts = uniform_box(256, 10.0f, 202);
   (void)fw.sdh(pts, 0.5, 16);
-  EXPECT_FALSE(fw.last_sdh_plan().has_value());
+  EXPECT_FALSE(fw.last_plan().has_value());
 }
 
 TEST(Framework, LargeInputRecordsPlan) {
   TwoBodyFramework fw;
   const auto pts = uniform_box(4096, 10.0f, 203);
   const auto result = fw.sdh(pts, 0.4, 32);
-  ASSERT_TRUE(fw.last_sdh_plan().has_value());
-  EXPECT_FALSE(fw.last_sdh_plan()->considered.empty());
+  ASSERT_TRUE(fw.last_plan().has_value());
+  EXPECT_FALSE(fw.last_plan()->considered.empty());
   EXPECT_EQ(result.hist.total(), 4096u * 4095 / 2);
 }
 

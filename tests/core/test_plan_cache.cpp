@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "backend/vgpu_backend.hpp"
 #include "common/datagen.hpp"
 #include "common/error.hpp"
 #include "core/framework.hpp"
@@ -20,25 +21,32 @@ namespace {
 
 using kernels::ProblemDesc;
 
-TEST(GenericPlan, AgreesWithTheTypedSdhWrapper) {
+TEST(GenericPlan, AgreesAcrossStreamAndDeviceBackends) {
+  // A VgpuBackend borrowing a caller's stream and one owning its stream
+  // (as the framework and the serve engine plan) must reach the same plan
+  // on equal devices.
   const auto sample = uniform_box(2048, 10.0f, 3);
   const int buckets = 64;
   const double width = sample.max_possible_distance() / buckets + 1e-4;
+  const auto desc = ProblemDesc::sdh(width, buckets);
 
   vgpu::Device dev;
   vgpu::Stream stream(dev);
-  const Plan g = plan(stream, sample, ProblemDesc::sdh(width, buckets),
-                      100'000.0);
-  ASSERT_NE(g.kernel, nullptr);
+  backend::VgpuBackend borrowed(stream);
+  backend::IBackend* one[] = {&borrowed};
+  const Plan lent = plan(one, sample, desc, 100'000.0);
+  ASSERT_NE(lent.kernel, nullptr);
 
   vgpu::Device dev2;
-  const SdhPlan typed = plan_sdh(dev2, sample, width, buckets, 100'000.0);
-  EXPECT_EQ(static_cast<int>(typed.variant), g.kernel->variant_id);
-  EXPECT_EQ(typed.block_size, g.block_size);
-  EXPECT_DOUBLE_EQ(typed.predicted_seconds, g.predicted_seconds);
-  ASSERT_EQ(typed.considered.size(), g.considered.size());
-  for (std::size_t i = 0; i < g.considered.size(); ++i)
-    EXPECT_EQ(typed.considered[i].name, g.considered[i].name);
+  backend::VgpuBackend owned(dev2);
+  backend::IBackend* other[] = {&owned};
+  const Plan own = plan(other, sample, desc, 100'000.0);
+  EXPECT_EQ(own.kernel->variant_id, lent.kernel->variant_id);
+  EXPECT_EQ(own.block_size, lent.block_size);
+  EXPECT_DOUBLE_EQ(own.predicted_seconds, lent.predicted_seconds);
+  ASSERT_EQ(own.considered.size(), lent.considered.size());
+  for (std::size_t i = 0; i < lent.considered.size(); ++i)
+    EXPECT_EQ(own.considered[i].name, lent.considered[i].name);
 }
 
 TEST(GenericPlan, PcfSkipsUnlaunchableCandidatesAndChecksNonEmpty) {
@@ -51,8 +59,9 @@ TEST(GenericPlan, PcfSkipsUnlaunchableCandidatesAndChecksNonEmpty) {
   vgpu::DeviceSpec tight;
   tight.shared_mem_per_block_cap = 2 * 1024;
   vgpu::Device dev(tight);
-  vgpu::Stream stream(dev);
-  const Plan p = plan(stream, sample, ProblemDesc::pcf(2.0), 100'000.0);
+  backend::VgpuBackend be(dev);
+  backend::IBackend* one[] = {&be};
+  const Plan p = plan(one, sample, ProblemDesc::pcf(2.0), 100'000.0);
   ASSERT_NE(p.kernel, nullptr);
   EXPECT_FALSE(p.considered.empty());
   for (const Candidate& c : p.considered) {
@@ -69,33 +78,37 @@ TEST(GenericPlan, ThrowsWhenNoCandidateIsLaunchable) {
   vgpu::DeviceSpec zero;
   zero.shared_mem_per_block_cap = 0;
   vgpu::Device dev(zero);
-  vgpu::Stream stream(dev);
-  EXPECT_THROW(plan(stream, sample, ProblemDesc::sdh(0.5, 64), 100'000.0),
+  backend::VgpuBackend be(dev);
+  backend::IBackend* one[] = {&be};
+  EXPECT_THROW(plan(one, sample, ProblemDesc::sdh(0.5, 64), 100'000.0),
                CheckError);
 }
 
 TEST(PlanCacheKey, BucketsTargetSizeByPowerOfTwo) {
-  const vgpu::DeviceSpec spec;
+  vgpu::Device dev;
+  backend::VgpuBackend be(dev);
+  backend::IBackend* one[] = {&be};
   const auto desc = ProblemDesc::sdh(0.5, 64);
-  EXPECT_EQ(plan_cache_key(spec, desc, 5000.0),
-            plan_cache_key(spec, desc, 8000.0));  // both round to 8192
-  EXPECT_NE(plan_cache_key(spec, desc, 8192.0),
-            plan_cache_key(spec, desc, 8193.0));
-  EXPECT_NE(plan_cache_key(spec, desc, 5000.0),
-            plan_cache_key(spec, ProblemDesc::sdh(0.5, 128), 5000.0));
-  EXPECT_NE(plan_cache_key(spec, desc, 5000.0),
-            plan_cache_key(spec, ProblemDesc::pcf(2.0), 5000.0));
+  EXPECT_EQ(plan_cache_key(one, desc, 5000.0),
+            plan_cache_key(one, desc, 8000.0));  // both round to 8192
+  EXPECT_NE(plan_cache_key(one, desc, 8192.0),
+            plan_cache_key(one, desc, 8193.0));
+  EXPECT_NE(plan_cache_key(one, desc, 5000.0),
+            plan_cache_key(one, ProblemDesc::sdh(0.5, 128), 5000.0));
+  EXPECT_NE(plan_cache_key(one, desc, 5000.0),
+            plan_cache_key(one, ProblemDesc::pcf(2.0), 5000.0));
 }
 
 TEST(PlanCache, HitCostsZeroCalibrationLaunches) {
   const auto sample = uniform_box(2048, 10.0f, 3);
 
   vgpu::Device dev;
-  vgpu::Stream stream(dev);
+  backend::VgpuBackend be(dev);
+  backend::IBackend* one[] = {&be};
   PlanCache cache;
 
   const Plan first =
-      plan(stream, sample, ProblemDesc::pcf(2.0), 50'000.0, &cache);
+      plan(one, sample, ProblemDesc::pcf(2.0), 50'000.0, &cache);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 0u);
   EXPECT_EQ(cache.size(), 1u);
@@ -104,14 +117,14 @@ TEST(PlanCache, HitCostsZeroCalibrationLaunches) {
 
   // Same problem, nearby size: memoized — not a single simulation runs.
   const Plan second =
-      plan(stream, sample, ProblemDesc::pcf(2.0), 60'000.0, &cache);
+      plan(one, sample, ProblemDesc::pcf(2.0), 60'000.0, &cache);
   EXPECT_EQ(dev.launch_count(), launches_after_first);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(second.kernel, first.kernel);
   EXPECT_EQ(second.block_size, first.block_size);
 
   // A different problem shape misses and re-calibrates.
-  plan(stream, sample, ProblemDesc::pcf(1.0), 50'000.0, &cache);
+  plan(one, sample, ProblemDesc::pcf(1.0), 50'000.0, &cache);
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_GT(dev.launch_count(), launches_after_first);
 }
@@ -124,14 +137,16 @@ TEST(PlanCache, ConcurrentMissesCalibrateExactlyOnce) {
   std::uint64_t solo_launches = 0;
   {
     vgpu::Device dev;
-    vgpu::Stream stream(dev);
-    plan(stream, sample, desc, 50'000.0);
+    backend::VgpuBackend be(dev);
+    backend::IBackend* one[] = {&be};
+    plan(one, sample, desc, 50'000.0);
     solo_launches = dev.launch_count();
   }
   ASSERT_GT(solo_launches, 0u);
 
-  // Two threads, each with its own device/stream (streams are single-host-
-  // thread objects), racing on one shared cache and the same key. The gate
+  // Two threads, each with its own device/backend (a backend's stream is a
+  // single-host-thread object), racing on one shared cache and the same
+  // key. The gate
   // must let exactly one of them calibrate; the other returns the stored
   // plan with zero launches of its own — whoever wins the race.
   PlanCache cache;
@@ -143,11 +158,12 @@ TEST(PlanCache, ConcurrentMissesCalibrateExactlyOnce) {
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      vgpu::Stream stream(devs[static_cast<std::size_t>(t)]);
+      backend::VgpuBackend be(devs[static_cast<std::size_t>(t)]);
+      backend::IBackend* one[] = {&be};
       ready.fetch_add(1);
       while (ready.load() < kThreads) std::this_thread::yield();
       plans[static_cast<std::size_t>(t)] =
-          plan(stream, sample, desc, 50'000.0, &cache);
+          plan(one, sample, desc, 50'000.0, &cache);
     });
   }
   for (std::thread& th : threads) th.join();
@@ -172,22 +188,24 @@ TEST(PlanCache, FailedCalibrationReleasesTheGateAndCachesNothing) {
   vgpu::FaultPlan chaos;
   chaos.fail_first_n = 1;
   dev.set_fault_plan(chaos);
-  vgpu::Stream stream(dev);
+  backend::VgpuBackend be(dev);
+  backend::IBackend* one[] = {&be};
   PlanCache cache;
 
-  EXPECT_THROW(plan(stream, sample, desc, 50'000.0, &cache),
+  EXPECT_THROW(plan(one, sample, desc, 50'000.0, &cache),
                vgpu::DeviceError);
   EXPECT_EQ(cache.size(), 0u);  // a failed calibration must not be cached
 
   // Schedule spent: the retry calibrates under the released gate.
-  const Plan retried = plan(stream, sample, desc, 50'000.0, &cache);
+  const Plan retried = plan(one, sample, desc, 50'000.0, &cache);
   ASSERT_NE(retried.kernel, nullptr);
   EXPECT_EQ(cache.size(), 1u);
 
   // And the cached plan equals a fault-free calibration's.
   vgpu::Device healthy;
-  vgpu::Stream healthy_stream(healthy);
-  const Plan want = plan(healthy_stream, sample, desc, 50'000.0);
+  backend::VgpuBackend healthy_be(healthy);
+  backend::IBackend* healthy_one[] = {&healthy_be};
+  const Plan want = plan(healthy_one, sample, desc, 50'000.0);
   EXPECT_EQ(retried.kernel, want.kernel);
   EXPECT_EQ(retried.block_size, want.block_size);
 }
@@ -215,12 +233,13 @@ TEST(PlanCache, ConcurrentFailureDoesNotWedgeTheSingleFlightGate) {
   for (int t = 0; t < 2; ++t) {
     threads.emplace_back([&, t] {
       vgpu::Device& dev = (t == 0) ? faulty : healthy;
-      vgpu::Stream stream(dev);
+      backend::VgpuBackend be(dev);
+      backend::IBackend* one[] = {&be};
       ready.fetch_add(1);
       while (ready.load() < 2) std::this_thread::yield();
       for (int round = 0; round < 2; ++round) {
         try {
-          const Plan p = plan(stream, sample, desc, 50'000.0, &cache);
+          const Plan p = plan(one, sample, desc, 50'000.0, &cache);
           if (p.kernel != nullptr) planned.fetch_add(1);
         } catch (const vgpu::DeviceError&) {
           exceptions.fetch_add(1);
@@ -242,7 +261,7 @@ TEST(Framework, RepeatedQueryReusesThePlanWithZeroCalibration) {
   TwoBodyFramework fw;
 
   const auto r1 = fw.sdh(pts, 0.5, 64);
-  ASSERT_TRUE(fw.last_sdh_plan().has_value());
+  ASSERT_TRUE(fw.last_plan().has_value());
   EXPECT_EQ(fw.plan_cache().misses(), 1u);
   const std::uint64_t after_first = fw.device().launch_count();
 
@@ -269,7 +288,7 @@ TEST(Framework, SmallQueriesBypassThePlanCache) {
   TwoBodyFramework fw;
   fw.sdh(pts, 0.5, 16);
   EXPECT_EQ(fw.plan_cache().hits() + fw.plan_cache().misses(), 0u);
-  EXPECT_FALSE(fw.last_sdh_plan().has_value());
+  EXPECT_FALSE(fw.last_plan().has_value());
 }
 
 }  // namespace

@@ -74,6 +74,19 @@ TEST(CpuKnn, ReturnsAscendingDistances) {
   }
 }
 
+TEST(CpuKnn, RowsOwnExactlyKFloats) {
+  // Each row is built from its k smallest distances, so it holds k floats
+  // and no more: n rows of n-float capacity would make one result n^2.
+  const auto pts = uniform_box(500, 5.0f, 561);
+  ThreadPool pool(2);
+  const auto knn = cpu_knn(pool, pts, 3);
+  ASSERT_EQ(knn.size(), pts.size());
+  for (const auto& row : knn) {
+    EXPECT_EQ(row.size(), 3u);
+    EXPECT_EQ(row.capacity(), 3u);
+  }
+}
+
 TEST(CpuKde, TwoPointSanity) {
   PointsSoA pts;
   pts.push_back({0, 0, 0});

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <type_traits>
+
 #include "common/datagen.hpp"
 #include "common/error.hpp"
 
@@ -16,16 +20,22 @@ Histogram brute(const PointsSoA& pts, double w, std::size_t buckets) {
   return h;
 }
 
+// gtest has no printer for TreeCase, so it names each case by the struct's
+// raw bytes. `name_tail` zeroes what was trailing padding, which would
+// otherwise put stack bytes into the names.
 struct TreeCase {
   std::size_t n;
   std::size_t buckets;
   int leaf;
+  std::array<std::uint8_t, 4> name_tail{};
 };
+static_assert(std::has_unique_object_representations_v<TreeCase>,
+              "padding would put stack bytes into the test names");
 
 class TreeSdhParam : public ::testing::TestWithParam<TreeCase> {};
 
 TEST_P(TreeSdhParam, ExactlyMatchesBruteForceUniform) {
-  const auto [n, buckets, leaf] = GetParam();
+  const auto [n, buckets, leaf, name_tail] = GetParam();
   const auto pts = uniform_box(n, 20.0f, 501 + n);
   const double w = pts.max_possible_distance() / buckets + 1e-4;
   EXPECT_EQ(tree_sdh(pts, w, buckets, leaf), brute(pts, w, buckets));

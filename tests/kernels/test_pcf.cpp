@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <type_traits>
+
 #include "common/datagen.hpp"
 #include "cpubase/cpu_stats.hpp"
 #include "vgpu/device.hpp"
@@ -11,16 +15,28 @@
 namespace tbs::kernels {
 namespace {
 
+// gtest has no printer for PcfCase, so it names each case by the struct's
+// raw bytes. Bytes 4-7 and 20-23 were once padding, and the names took in
+// whatever the stack held there, so they changed from one run to the next.
+// `name_bytes` fills the first slot with the bytes each case was first
+// registered under and `name_tail` zeroes the second, which keeps every
+// name fixed.
+using NameBytes = std::array<std::uint8_t, 4>;
+
 struct PcfCase {
   PcfVariant variant;
+  NameBytes name_bytes;
   std::size_t n;
   int block;
+  NameBytes name_tail{};
 };
+static_assert(std::has_unique_object_representations_v<PcfCase>,
+              "padding would put stack bytes into the test names");
 
 class PcfParam : public ::testing::TestWithParam<PcfCase> {};
 
 TEST_P(PcfParam, MatchesCpuReference) {
-  const auto [variant, n, block] = GetParam();
+  const auto [variant, name_bytes, n, block, name_tail] = GetParam();
   const auto pts = uniform_box(n, 10.0f, 1234 + n);
   const double radius = 2.5;
 
@@ -37,22 +53,22 @@ INSTANTIATE_TEST_SUITE_P(
     AllVariantsAndShapes, PcfParam,
     ::testing::Values(
         // Every variant at an even multiple of the block size.
-        PcfCase{PcfVariant::Naive, 256, 64},
-        PcfCase{PcfVariant::ShmShm, 256, 64},
-        PcfCase{PcfVariant::RegShm, 256, 64},
-        PcfCase{PcfVariant::RegRoc, 256, 64},
+        PcfCase{PcfVariant::Naive, {}, 256, 64},
+        PcfCase{PcfVariant::ShmShm, {}, 256, 64},
+        PcfCase{PcfVariant::RegShm, {}, 256, 64},
+        PcfCase{PcfVariant::RegRoc, {}, 256, 64},
         // Larger, multi-block shapes.
-        PcfCase{PcfVariant::ShmShm, 1024, 128},
-        PcfCase{PcfVariant::RegShm, 1024, 256},
-        PcfCase{PcfVariant::RegRoc, 1024, 128},
+        PcfCase{PcfVariant::ShmShm, {}, 1024, 128},
+        PcfCase{PcfVariant::RegShm, {0x5F, 0x74, 0x65, 0x73}, 1024, 256},
+        PcfCase{PcfVariant::RegRoc, {}, 1024, 128},
         // Ragged tails (N not a multiple of B).
-        PcfCase{PcfVariant::Naive, 300, 128},
-        PcfCase{PcfVariant::ShmShm, 523, 128},
-        PcfCase{PcfVariant::RegShm, 777, 256},
-        PcfCase{PcfVariant::RegRoc, 1000, 384},
+        PcfCase{PcfVariant::Naive, {}, 300, 128},
+        PcfCase{PcfVariant::ShmShm, {0, 0, 0xD0, 0xEF}, 523, 128},
+        PcfCase{PcfVariant::RegShm, {}, 777, 256},
+        PcfCase{PcfVariant::RegRoc, {0x03, 0x1E, 0x09, 0}, 1000, 384},
         // Single block; block bigger than N.
-        PcfCase{PcfVariant::RegShm, 96, 96},
-        PcfCase{PcfVariant::RegShm, 50, 128}));
+        PcfCase{PcfVariant::RegShm, {0, 0, 0xC5, 0xCA}, 96, 96},
+        PcfCase{PcfVariant::RegShm, {}, 50, 128}));
 
 TEST(Pcf, ClusteredDataMatchesCpu) {
   const auto pts = gaussian_clusters(768, 4, 20.0f, 1.0f, 5);

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <iterator>
+#include <type_traits>
+
 #include "common/datagen.hpp"
 #include "cpubase/cpu_stats.hpp"
 #include "vgpu/device.hpp"
@@ -17,17 +22,27 @@ constexpr SdhVariant kAllVariants[] = {
     SdhVariant::RegShmLb,  SdhVariant::ShuffleOut,
 };
 
+// gtest has no printer for SdhCase, so it names each case by the struct's
+// raw bytes. Bytes 4-7 were once padding, and the names took in whatever
+// the stack held there, so they changed from one run to the next.
+// `name_bytes` fills that slot with the bytes each case was first
+// registered under, which keeps every name fixed.
+using NameBytes = std::array<std::uint8_t, 4>;
+
 struct SdhCase {
   SdhVariant variant;
+  NameBytes name_bytes;
   std::size_t n;
   int block;
   int buckets;
 };
+static_assert(std::has_unique_object_representations_v<SdhCase>,
+              "padding would put stack bytes into the test names");
 
 class SdhParam : public ::testing::TestWithParam<SdhCase> {};
 
 TEST_P(SdhParam, MatchesCpuReference) {
-  const auto [variant, n, block, buckets] = GetParam();
+  const auto [variant, name_bytes, n, block, buckets] = GetParam();
   const auto pts = uniform_box(n, 12.0f, 999 + n * 7);
   const double width =
       pts.max_possible_distance() / buckets + 1e-4;
@@ -49,31 +64,41 @@ TEST_P(SdhParam, MatchesCpuReference) {
 INSTANTIATE_TEST_SUITE_P(
     AllVariants, SdhParam,
     ::testing::ValuesIn([] {
+      // Name bytes of each row, in kAllVariants order.
+      constexpr NameBytes kNames512[] = {
+          {0x90, 0x55, 0, 0},       {0x6D, 0, 0x72, 0x65},
+          {0x30, 0x30, 0x2D, 0x30}, {0x30, 0x30, 0x2D, 0x30},
+          {}, {}, {}, {}};
+      constexpr NameBytes kNames768[] = {
+          {}, {}, {}, {}, {}, {}, {0x8B, 0x7F, 0, 0}, {0x95, 0x55, 0, 0}};
       std::vector<SdhCase> cases;
-      for (const auto v : kAllVariants)
-        cases.push_back({v, 512, 128, 32});
+      for (std::size_t i = 0; i < std::size(kAllVariants); ++i)
+        cases.push_back({kAllVariants[i], kNames512[i], 512, 128, 32});
       // Multi-warp blocks and more buckets.
-      for (const auto v : kAllVariants)
-        cases.push_back({v, 768, 256, 97});
+      for (std::size_t i = 0; i < std::size(kAllVariants); ++i)
+        cases.push_back({kAllVariants[i], kNames768[i], 768, 256, 97});
       return cases;
     }()));
 
 INSTANTIATE_TEST_SUITE_P(
     RaggedShapes, SdhParam,
-    ::testing::Values(SdhCase{SdhVariant::Naive, 333, 128, 16},
-                      SdhCase{SdhVariant::RegShm, 451, 64, 21},
-                      SdhCase{SdhVariant::RegRoc, 700, 256, 33},
-                      SdhCase{SdhVariant::NaiveOut, 999, 128, 64},
-                      SdhCase{SdhVariant::RegShmOut, 130, 64, 8},
-                      SdhCase{SdhVariant::RegRocOut, 1023, 512, 100},
-                      SdhCase{SdhVariant::RegShmLb, 577, 128, 40},
-                      SdhCase{SdhVariant::ShuffleOut, 345, 64, 12}));
+    ::testing::Values(
+        SdhCase{SdhVariant::Naive, {0x95, 0x55, 0, 0}, 333, 128, 16},
+        SdhCase{SdhVariant::RegShm, {0xFF, 0xFF, 0xFF, 0xFF}, 451, 64, 21},
+        SdhCase{SdhVariant::RegRoc, {0x95, 0x55, 0, 0}, 700, 256, 33},
+        SdhCase{SdhVariant::NaiveOut, {0x8B, 0x7F, 0, 0}, 999, 128, 64},
+        SdhCase{SdhVariant::RegShmOut, {0xFD, 0x7F, 0, 0}, 130, 64, 8},
+        SdhCase{SdhVariant::RegRocOut, {0xFF, 0xFF, 0xFF, 0xFF}, 1023, 512,
+                100},
+        SdhCase{SdhVariant::RegShmLb, {0x95, 0x55, 0, 0}, 577, 128, 40},
+        SdhCase{SdhVariant::ShuffleOut, {0x8B, 0x7F, 0, 0}, 345, 64, 12}));
 
 INSTANTIATE_TEST_SUITE_P(
     SingleBucketAndSingleBlock, SdhParam,
-    ::testing::Values(SdhCase{SdhVariant::RegShmOut, 256, 256, 1},
-                      SdhCase{SdhVariant::ShuffleOut, 128, 128, 1},
-                      SdhCase{SdhVariant::RegShmLb, 128, 128, 500}));
+    ::testing::Values(
+        SdhCase{SdhVariant::RegShmOut, {}, 256, 256, 1},
+        SdhCase{SdhVariant::ShuffleOut, {0xFD, 0x7F, 0, 0}, 128, 128, 1},
+        SdhCase{SdhVariant::RegShmLb, {}, 128, 128, 500}));
 
 TEST(Sdh, AllVariantsAgreeOnClusteredData) {
   const auto pts = gaussian_clusters(512, 3, 15.0f, 1.2f, 21);

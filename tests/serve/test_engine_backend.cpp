@@ -161,6 +161,37 @@ TEST(EngineBackends, CpuWorkersActuallyLaunch) {
   EXPECT_EQ(stats.counters.failed, 0u);
 }
 
+TEST(EngineBackends, EveryQueryTypeCountsItsLaunch) {
+  // Every query type reaches the substrate through one IBackend::launch,
+  // so each execution counts exactly one launch; a cache hit counts none.
+  const PointsSoA pts = uniform_box(300, 10.0f, /*seed=*/17);
+  const double width = pts.max_possible_distance() / kBuckets + 1e-4;
+
+  QueryEngine::Config cfg;
+  cfg.devices = 0;
+  cfg.cpu_workers = 1;
+  cfg.cpu_threads = 2;
+  QueryEngine engine(cfg);
+
+  const std::vector<Query> queries = {SdhQuery{width, kBuckets},
+                                      PcfQuery{2.0}, KnnQuery{3},
+                                      JoinQuery{1.5}};
+  for (const Query& q : queries) {
+    const std::uint64_t before = engine.launch_count();
+    auto fut = engine.submit(q, pts);
+    (void)get_with_watchdog(fut);
+    EXPECT_EQ(engine.launch_count(), before + 1) << kind_name(q);
+
+    auto hit = engine.submit(q, pts);
+    (void)get_with_watchdog(hit);
+    EXPECT_EQ(engine.launch_count(), before + 1)
+        << kind_name(q) << " cache hit";
+  }
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.counters.cache_hits, queries.size());
+  EXPECT_EQ(stats.counters.failed, 0u);
+}
+
 TEST(EngineBackends, DeviceLostFailsOverToTheCpuBackendUndegraded) {
   const PointsSoA pts = uniform_box(kN, 10.0f, /*seed=*/13);
   const double width = pts.max_possible_distance() / kBuckets + 1e-4;

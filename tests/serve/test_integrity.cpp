@@ -19,10 +19,12 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/datagen.hpp"
 #include "core/framework.hpp"
+#include "cpubase/cpu_stats.hpp"
 #include "serve/engine.hpp"
 #include "serve/integrity.hpp"
 #include "vgpu/fault.hpp"
@@ -117,21 +119,38 @@ TEST(IntegrityAudit, StagedBufferFlipIsCaughtByCrossBackendAudit) {
   // Staged flip: the kernel computes a perfectly conserved histogram over
   // slightly-wrong points — invisible to the invariant layer by design.
   cfg.faults[0].silent_staged_rate = 1.0;
-  QueryEngine engine(cfg);
 
-  auto fut = engine.sdh(pts, kWidth, kBuckets);
-  const SdhResult got = std::get<SdhResult>(fut.get());
-  expect_hist_equal(got.hist, golden.hist, "audited answer");
+  // Every query type launches through the same backend seam, so the flip
+  // reaches kNN and join too; the client must receive the CPU answer.
+  cpubase::ThreadPool pool(2);
+  kernels::KnnResult knn_want;
+  knn_want.neighbours = cpubase::cpu_knn(pool, pts, 4);
+  kernels::JoinResult join_want;
+  join_want.pairs = cpubase::cpu_distance_join(pool, pts, 2.0);
+  const std::vector<std::pair<Query, QueryResult>> inputs = {
+      {SdhQuery{kWidth, kBuckets}, golden},
+      {KnnQuery{4}, knn_want},
+      {JoinQuery{2.0}, join_want}};
 
-  const EngineStats stats = engine.stats();
-  EXPECT_GE(stats.counters.audits, 1u);
-  EXPECT_GE(stats.counters.audit_mismatches, 1u);
-  EXPECT_GE(stats.counters.quarantines, 1u);
-  // The worker whose backend produced the mismatch is quarantined.
-  EXPECT_EQ(engine.breaker(0).state(), CircuitBreaker::State::Open);
-  // The replacement answer is degraded (fallback lane) — never cached.
-  EXPECT_GE(stats.counters.degraded, 1u);
-  EXPECT_EQ(stats.counters.failed, 0u);
+  for (const auto& [query, want] : inputs) {
+    SCOPED_TRACE(kind_name(query));
+    QueryEngine engine(cfg);
+    auto fut = engine.submit(query, pts);
+    const QueryResult got = fut.get();
+    if (const auto* sdh = std::get_if<SdhResult>(&got))
+      expect_hist_equal(sdh->hist, golden.hist, "audited answer");
+    EXPECT_TRUE(results_bit_identical(got, want));
+
+    const EngineStats stats = engine.stats();
+    EXPECT_GE(stats.counters.audits, 1u);
+    EXPECT_GE(stats.counters.audit_mismatches, 1u);
+    EXPECT_GE(stats.counters.quarantines, 1u);
+    // The worker whose backend produced the mismatch is quarantined.
+    EXPECT_EQ(engine.breaker(0).state(), CircuitBreaker::State::Open);
+    // The replacement answer is degraded (fallback lane) — never cached.
+    EXPECT_GE(stats.counters.degraded, 1u);
+    EXPECT_EQ(stats.counters.failed, 0u);
+  }
 }
 
 TEST(IntegrityAudit, CleanRunAuditsAreBitIdenticalAndQuarantineNothing) {
