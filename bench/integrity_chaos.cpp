@@ -167,7 +167,7 @@ Overhead measure_overhead() {
   {
     const auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < kReps; ++i)
-      serve::verify_result(q, pts.size(), r, "bench");
+      serve::verify_result(q, pts, r, "bench");
     out.invariant_seconds = now_minus(t0) / kReps;
   }
   {

@@ -1,38 +1,19 @@
 #include "backend/cpu_backend.hpp"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cmath>
 
 #include "common/datagen.hpp"
 #include "common/error.hpp"
-#include "cpubase/tree_sdh.hpp"
 
 namespace tbs::backend {
 
 namespace {
 
-/// Same calibration grid as the vgpu side, so the two models extrapolate
-/// from comparable regimes.
-constexpr std::array<double, 3> kCalibN = {512, 1024, 2048};
-
 /// Timed-calibration size: big enough (~8.4M pairs) that pool fan-out
 /// overhead is amortized out of the measured per-pair cost.
 constexpr std::size_t kPairCalibN = 4096;
-
-/// One node-pair visit costs roughly this many pair evaluations (AABB
-/// min/max distance + two bucket probes).
-constexpr double kNodeVisitWeight = 4.0;
-
-PointsSoA take(const PointsSoA& sample, std::size_t n) {
-  check(!sample.empty(), "CpuBackend::estimate: empty sample");
-  PointsSoA out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    out.push_back(sample[i % sample.size()]);
-  return out;
-}
 
 double pairs_of(double n) { return n * (n - 1.0) / 2.0; }
 
@@ -136,48 +117,14 @@ Estimate CpuBackend::estimate(const kernels::KernelVariant& v,
                               const PointsSoA& sample,
                               const kernels::ProblemDesc& desc,
                               int /*block_size*/, double target_n) {
-  const double cost = pair_cost();
-
-  if (v.name == "Tree-SDH") {
-    // The tree's work is deterministic for a given point set: count it at
-    // the calibration sizes and fit work ≈ a·N^b in log-log space, then
-    // price the extrapolated work at per-pair cost, single-threaded.
-    std::array<double, 3> log_n{};
-    std::array<double, 3> log_w{};
-    for (std::size_t i = 0; i < kCalibN.size(); ++i) {
-      const PointsSoA pts =
-          take(sample, static_cast<std::size_t>(kCalibN[i]));
-      cpubase::TreeSdhStats stats;
-      (void)cpubase::tree_sdh(pts, desc.bucket_width,
-                              static_cast<std::size_t>(desc.buckets),
-                              /*leaf_size=*/32, &stats);
-      const double work =
-          static_cast<double>(stats.brute_pairs) +
-          kNodeVisitWeight * static_cast<double>(stats.node_pair_visits);
-      log_n[i] = std::log(kCalibN[i]);
-      log_w[i] = std::log(std::max(1.0, work));
-    }
-    // Least-squares line through three points.
-    const double mean_n = (log_n[0] + log_n[1] + log_n[2]) / 3.0;
-    const double mean_w = (log_w[0] + log_w[1] + log_w[2]) / 3.0;
-    double num = 0.0;
-    double den = 0.0;
-    for (std::size_t i = 0; i < 3; ++i) {
-      num += (log_n[i] - mean_n) * (log_w[i] - mean_w);
-      den += (log_n[i] - mean_n) * (log_n[i] - mean_n);
-    }
-    const double b = den > 0.0 ? num / den : 2.0;
-    const double log_a = mean_w - b * mean_n;
-    const double work = std::exp(log_a + b * std::log(target_n));
-    return Estimate{work * cost + cfg_.launch_overhead_seconds, "cpu-tree"};
-  }
-
-  // Quadratic variants: every CPU pair loop has the same shape, so one
-  // model covers them all.
-  const double seconds =
-      pairs_of(target_n) * cost / static_cast<double>(pool_.size()) +
-      cfg_.launch_overhead_seconds;
-  return Estimate{seconds, "cpu-pairs"};
+  check(v.cpu_work != nullptr,
+        "CpuBackend::estimate: variant declares no CPU work model");
+  const kernels::CpuWork work = v.cpu_work(sample, desc, target_n);
+  const double threads =
+      work.pooled ? static_cast<double>(pool_.size()) : 1.0;
+  return Estimate{work.pairs * pair_cost() / threads +
+                      cfg_.launch_overhead_seconds,
+                  work.model};
 }
 
 Counters CpuBackend::counters() const {

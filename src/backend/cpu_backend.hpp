@@ -1,17 +1,19 @@
 // CpuBackend — the multi-core host substrate behind the IBackend seam.
 //
 // Promotes src/cpubase from "test oracle" to first-class execution peer:
-// launches run the tiled SDH/PCF loops (or the sub-quadratic tree path)
-// over an owned thread pool, bit-identical to the vgpu kernels because
-// every implementation buckets through the same double-precision division.
+// launches run each registry variant's CPU functor over an owned thread
+// pool (the tiled SDH loop, the sub-quadratic tree path, and the exact
+// cell-grid PCF, join and kNN), bit-identical to the vgpu kernels because
+// every implementation computes distances and buckets the same way.
 //
 // Cost model (estimate()): the backend calibrates a per-pair cost from one
-// timed run of the tiled SDH loop, then prices
-//   * quadratic variants as  pairs(N) · pair_cost / threads + overhead
-//   * Tree-SDH by fitting a power law to the tree's deterministic work
-//     counters (brute pairs + weighted node-pair visits) at the standard
-//     calibration sizes, priced single-threaded (the tree walk is
-//     sequential) + overhead.
+// timed run of the tiled SDH loop, and each variant declares its work in
+// pair-equivalents (KernelVariant::cpu_work): all N(N-1)/2 pairs for the
+// brute SDH loop, the stencil's candidate pairs for the grid PCF, a power
+// law fitted to the tree's work counters for Tree-SDH. A launch is priced
+//   work · pair_cost / threads + overhead
+// with threads = 1 for work that does not spread over the pool (the tree
+// walk is sequential).
 // vgpu estimates are simulated-device seconds while CPU estimates are
 // host-clock seconds; the planner compares them directly, which is exactly
 // the paper's GPU-vs-CPU framing (model time vs measured baseline).

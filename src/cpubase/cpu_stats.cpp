@@ -10,15 +10,17 @@ namespace tbs::cpubase {
 
 namespace {
 
-/// Apply the config's affinity policy for a worker (no-op for None).
+/// Private histogram copies per worker in cpu_sdh_tiled.
+constexpr std::size_t kSdhCopies = 4;
+
+}  // namespace
+
 void apply_affinity(const CpuConfig& cfg, ThreadPool& pool, unsigned id) {
   if (cfg.affinity == Affinity::None) return;
   const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
   const auto map = affinity_map(cfg.affinity, pool.size(), cores);
   pin_current_thread(map[id]);
 }
-
-}  // namespace
 
 Histogram cpu_sdh(ThreadPool& pool, const PointsSoA& pts,
                   double bucket_width, std::size_t buckets,
@@ -79,20 +81,29 @@ Histogram cpu_sdh_tiled(ThreadPool& pool, const PointsSoA& pts,
   const std::span<const float> ys = pts.y();
   const std::span<const float> zs = pts.z();
 
+  // kSdhCopies private copies per worker, side by side: with few buckets,
+  // consecutive pairs hit the same counters, and each increment would
+  // wait on the previous store to it. Spreading consecutive updates over
+  // independent copies breaks that chain.
   std::vector<std::vector<std::uint64_t>> priv(
-      pool.size(), std::vector<std::uint64_t>(buckets, 0));
+      pool.size(), std::vector<std::uint64_t>(kSdhCopies * buckets, 0));
   const int nb = static_cast<int>(buckets);
 
   parallel_for(
       pool, 0, n, cfg.schedule,
       [&](unsigned id, std::size_t lo, std::size_t hi) {
         apply_affinity(cfg, pool, id);
-        std::uint64_t* mine = priv[id].data();
-        // The distance lane is separated from the histogram update so the
-        // compiler can vectorize it: each tile first fills a contiguous
-        // distance buffer (pure float arithmetic over contiguous loads),
-        // then a scalar pass buckets it.
+        std::uint64_t* c0 = priv[id].data();
+        std::uint64_t* c1 = c0 + buckets;
+        std::uint64_t* c2 = c1 + buckets;
+        std::uint64_t* c3 = c2 + buckets;
+        // The distance and bucket lanes are separated from the histogram
+        // update so the compiler can vectorize them: each tile first fills
+        // a contiguous distance buffer (pure float arithmetic over
+        // contiguous loads) and its bucket indices, then a scalar pass
+        // counts them.
         float d_tile[kCpuTile];
+        int b_tile[kCpuTile];
         for (std::size_t i = lo; i < hi; ++i) {
           const float xi = xs[i];
           const float yi = ys[i];
@@ -106,14 +117,27 @@ Histogram cpu_sdh_tiled(ThreadPool& pool, const PointsSoA& pts,
               d_tile[t] = std::sqrt(dx * dx + dy * dy + dz * dz);
             }
             for (std::size_t t = 0; t < m; ++t)
-              ++mine[static_cast<std::size_t>(std::min(
+              b_tile[t] = std::min(
                   static_cast<int>(static_cast<double>(d_tile[t]) / w),
-                  nb - 1))];
+                  nb - 1);
+            std::size_t t = 0;
+            for (; t + kSdhCopies <= m; t += kSdhCopies) {
+              ++c0[b_tile[t]];
+              ++c1[b_tile[t + 1]];
+              ++c2[b_tile[t + 2]];
+              ++c3[b_tile[t + 3]];
+            }
+            for (; t < m; ++t) ++c0[b_tile[t]];
           }
         }
       },
       cfg.chunk);
 
+  // Fold each worker's copies into its first, then reduce the workers.
+  for (auto& mine : priv)
+    for (std::size_t c = 1; c < kSdhCopies; ++c)
+      for (std::size_t b = 0; b < buckets; ++b)
+        mine[b] += mine[c * buckets + b];
   for (std::size_t stride = 1; stride < priv.size(); stride *= 2)
     for (std::size_t i = 0; i + stride < priv.size(); i += 2 * stride)
       for (std::size_t b = 0; b < buckets; ++b)

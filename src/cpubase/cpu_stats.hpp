@@ -24,6 +24,10 @@ struct CpuConfig {
   std::size_t chunk = 64;  ///< dynamic/guided grain, in outer-loop rows
 };
 
+/// Pin pool worker `id` per the config's affinity policy (no-op for None).
+/// Every pool kernel calls it at the top of each chunk.
+void apply_affinity(const CpuConfig& cfg, ThreadPool& pool, unsigned id);
+
 /// Spatial distance histogram: per-thread private histograms merged by a
 /// tree reduction after all distance evaluations return.
 Histogram cpu_sdh(ThreadPool& pool, const PointsSoA& pts,
@@ -39,10 +43,12 @@ std::uint64_t cpu_pcf(ThreadPool& pool, const PointsSoA& pts, double radius,
 /// stay resident in L1 alongside the private histogram.
 inline constexpr std::size_t kCpuTile = 256;
 
-/// SDH with the j-loop split into fixed-width tiles whose distance lanes
-/// the compiler can vectorize (contiguous loads, no cross-iteration
-/// dependency except the histogram update). Histogram updates are integer
-/// adds, so the result is bit-identical to cpu_sdh for any tile order.
+/// SDH with the j-loop split into fixed-width tiles whose distance and
+/// bucket lanes the compiler can vectorize (contiguous loads, no
+/// cross-iteration dependency). Consecutive histogram updates go to four
+/// private copies per worker, so no increment waits on the previous one;
+/// updates are integer adds, so the result is bit-identical to cpu_sdh
+/// for any tile order.
 Histogram cpu_sdh_tiled(ThreadPool& pool, const PointsSoA& pts,
                         double bucket_width, std::size_t buckets,
                         const CpuConfig& cfg = {});

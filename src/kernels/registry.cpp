@@ -1,8 +1,11 @@
 #include "kernels/registry.hpp"
 
+#include <array>
+#include <cmath>
 #include <utility>
 
 #include "common/error.hpp"
+#include "cpubase/cell_grid.hpp"
 #include "cpubase/cpu_stats.hpp"
 #include "cpubase/tree_sdh.hpp"
 #include "kernels/pcf.hpp"
@@ -47,14 +50,80 @@ vgpu::KernelStats cpu_launch_sdh(cpubase::ThreadPool& pool,
   return cpu_stats(block_size);
 }
 
-/// Run the tiled CPU PCF and report host-side stats.
+/// Run the cell-grid CPU PCF and report host-side stats.
 vgpu::KernelStats cpu_launch_pcf(cpubase::ThreadPool& pool,
                                  const cpubase::CpuConfig& cfg,
                                  const PointsSoA& pts, const ProblemDesc& d,
                                  int block_size, KernelOutput& out) {
-  const std::uint64_t pairs = cpubase::cpu_pcf_tiled(pool, pts, d.radius, cfg);
+  const std::uint64_t pairs = cpubase::cpu_pcf_grid(pool, pts, d.radius, cfg);
   if (out.pairs != nullptr) *out.pairs = pairs;
   return cpu_stats(block_size);
+}
+
+double pairs_of(double n) { return n * (n - 1.0) / 2.0; }
+
+/// The brute-force SDH loop examines every pair, spread over the pool.
+CpuWork all_pairs_work(const PointsSoA& /*sample*/, const ProblemDesc&,
+                       double target_n) {
+  return CpuWork{pairs_of(target_n), true, "cpu-pairs"};
+}
+
+/// The grid PCF examines its stencil's candidate pairs. Exact when the
+/// sample is the launch's own point set (the engine plans on a query's own
+/// points); a smaller sample is scaled by (target / sample)^2, the growth
+/// of candidate pairs with density at a fixed extent and cell size.
+CpuWork pcf_grid_work(const PointsSoA& sample, const ProblemDesc& d,
+                      double target_n) {
+  check(!sample.empty(), "pcf_grid_work: empty sample");
+  const double scale = target_n / static_cast<double>(sample.size());
+  return CpuWork{cpubase::pcf_grid_pairs(sample, d.radius) * scale * scale,
+                 true, "cpu-grid"};
+}
+
+/// Same calibration sizes as the vgpu side, so the two models extrapolate
+/// from comparable regimes.
+constexpr std::array<double, 3> kTreeCalibN = {512, 1024, 2048};
+
+/// One node-pair visit costs roughly this many pair evaluations (AABB
+/// min/max distance + two bucket probes).
+constexpr double kNodeVisitWeight = 4.0;
+
+/// The tree's work is deterministic for a given point set: count it at the
+/// calibration sizes and fit work = a * N^b in log-log space, then
+/// extrapolate to the target. The tree walk is sequential.
+CpuWork tree_sdh_work(const PointsSoA& sample, const ProblemDesc& d,
+                      double target_n) {
+  check(!sample.empty(), "tree_sdh_work: empty sample");
+  std::array<double, 3> log_n{};
+  std::array<double, 3> log_w{};
+  for (std::size_t i = 0; i < kTreeCalibN.size(); ++i) {
+    const auto n = static_cast<std::size_t>(kTreeCalibN[i]);
+    PointsSoA pts;
+    pts.reserve(n);
+    for (std::size_t j = 0; j < n; ++j)
+      pts.push_back(sample[j % sample.size()]);
+    cpubase::TreeSdhStats stats;
+    (void)cpubase::tree_sdh(pts, d.bucket_width,
+                            static_cast<std::size_t>(d.buckets),
+                            /*leaf_size=*/32, &stats);
+    const double work =
+        static_cast<double>(stats.brute_pairs) +
+        kNodeVisitWeight * static_cast<double>(stats.node_pair_visits);
+    log_n[i] = std::log(kTreeCalibN[i]);
+    log_w[i] = std::log(std::max(1.0, work));
+  }
+  // Least-squares line through three points.
+  const double mean_n = (log_n[0] + log_n[1] + log_n[2]) / 3.0;
+  const double mean_w = (log_w[0] + log_w[1] + log_w[2]) / 3.0;
+  double num = 0.0;
+  double den = 0.0;
+  for (std::size_t i = 0; i < 3; ++i) {
+    num += (log_n[i] - mean_n) * (log_w[i] - mean_w);
+    den += (log_n[i] - mean_n) * (log_n[i] - mean_n);
+  }
+  const double b = den > 0.0 ? num / den : 2.0;
+  const double log_a = mean_w - b * mean_n;
+  return CpuWork{std::exp(log_a + b * std::log(target_n)), false, "cpu-tree"};
 }
 
 /// One SHM point tile per block: the shared demand of the warpsum PCF, kNN
@@ -83,6 +152,7 @@ KernelVariant make_sdh(SdhVariant v, bool plannable) {
   // Every SDH variant computes the same statistic, so they all share one
   // CPU peer; the variant distinction only matters on the vgpu side.
   kv.launch_cpu = cpu_launch_sdh;
+  kv.cpu_work = all_pairs_work;
   return kv;
 }
 
@@ -103,6 +173,7 @@ KernelVariant make_pcf(PcfVariant v, bool plannable) {
     return r.stats;
   };
   kv.launch_cpu = cpu_launch_pcf;
+  kv.cpu_work = pcf_grid_work;
   return kv;
 }
 
@@ -129,7 +200,7 @@ KernelVariant make_pcf_warpsum() {
 }
 
 /// All-point kNN: one register-resident kernel on the device, the
-/// per-point selection loop on the CPU. Both compute float distances the
+/// cell-grid shell search on the CPU. Both compute float distances the
 /// same way, so neighbour lists are bit-identical.
 KernelVariant make_knn() {
   KernelVariant kv;
@@ -147,7 +218,7 @@ KernelVariant make_knn() {
   kv.launch_cpu = [](cpubase::ThreadPool& pool, const cpubase::CpuConfig& cfg,
                      const PointsSoA& pts, const ProblemDesc& d,
                      int block_size, KernelOutput& out) {
-    auto rows = cpubase::cpu_knn(pool, pts, d.k, cfg);
+    auto rows = cpubase::cpu_knn_grid(pool, pts, d.k, cfg);
     if (out.neighbours != nullptr) *out.neighbours = std::move(rows);
     return cpu_stats(block_size);
   };
@@ -155,8 +226,8 @@ KernelVariant make_knn() {
 }
 
 /// Distance join with one of the two output strategies. The CPU peer is
-/// the same loop for both: they differ only in how the device emits pairs,
-/// and the pair *set* is the contract.
+/// the same cell-grid join for both: they differ only in how the device
+/// emits pairs, and the pair *set* is the contract.
 KernelVariant make_join(JoinVariant v) {
   KernelVariant kv;
   kv.name = to_string(v);
@@ -174,7 +245,7 @@ KernelVariant make_join(JoinVariant v) {
   kv.launch_cpu = [](cpubase::ThreadPool& pool, const cpubase::CpuConfig& cfg,
                      const PointsSoA& pts, const ProblemDesc& d,
                      int block_size, KernelOutput& out) {
-    auto pairs = cpubase::cpu_distance_join(pool, pts, d.radius, cfg);
+    auto pairs = cpubase::cpu_distance_join_grid(pool, pts, d.radius, cfg);
     if (out.join_pairs != nullptr) *out.join_pairs = std::move(pairs);
     return cpu_stats(block_size);
   };
@@ -204,6 +275,7 @@ KernelVariant make_tree_sdh() {
     if (out.hist != nullptr) *out.hist = std::move(h);
     return cpu_stats(block_size);
   };
+  kv.cpu_work = tree_sdh_work;
   return kv;
 }
 

@@ -99,6 +99,16 @@ inline constexpr unsigned kBackendVgpu = 1u;
 inline constexpr unsigned kBackendCpu = 2u;
 inline constexpr unsigned kBackendAny = kBackendVgpu | kBackendCpu;
 
+/// The work one CPU launch of a variant does, in the units CpuBackend
+/// prices: pair-equivalents, each costing one calibrated pair evaluation.
+struct CpuWork {
+  double pairs = 0.0;
+  /// Whether the work spreads over the backend's pool (else one thread).
+  bool pooled = true;
+  /// Names the model in the backend's Estimate, e.g. "cpu-pairs".
+  const char* model = "";
+};
+
 /// One registered kernel variant.
 struct KernelVariant {
   /// Paper-figure name, e.g. "Reg-SHM-Out" — matches to_string(SdhVariant).
@@ -142,6 +152,14 @@ struct KernelVariant {
                                   const ProblemDesc&, int block_size,
                                   KernelOutput&)>
       launch_cpu;
+
+  /// CPU work model: the work a CPU launch on `target_n` points does,
+  /// priced from `sample` (the launch's own points when the engine plans).
+  /// Set on the SDH and PCF variants; null where the planner never prices
+  /// a CPU launch (kNN, join, the warpsum ablation).
+  std::function<CpuWork(const PointsSoA& sample, const ProblemDesc&,
+                        double target_n)>
+      cpu_work;
 
   [[nodiscard]] bool supports(unsigned backend_bit) const {
     return (backends & backend_bit) != 0;

@@ -229,8 +229,7 @@ QueryEngine::Clock::time_point QueryEngine::deadline_from(
                    std::chrono::duration<double>(seconds));
 }
 
-std::uint64_t QueryEngine::validate_input(const Query& query,
-                                          const PointsSoA& pts) {
+void QueryEngine::validate_input(const Query& query, const PointsSoA& pts) {
   const auto reject = [this](const std::string& why) {
     c_rejected_invalid_.inc();
     throw InvalidQueryError("QueryEngine: invalid query rejected — " + why);
@@ -252,7 +251,6 @@ std::uint64_t QueryEngine::validate_input(const Query& query,
     for (const float c : axis)
       if (!std::isfinite(c))
         reject("dataset contains a non-finite coordinate");
-  return points_checksum(pts);
 }
 
 std::optional<QueryEngine::ResultFuture> QueryEngine::submit_impl(
@@ -262,7 +260,7 @@ std::optional<QueryEngine::ResultFuture> QueryEngine::submit_impl(
   // Input validation runs *before* fingerprinting: a NaN dataset must never
   // acquire a cache identity — it would execute, produce a garbage
   // histogram, and serve it to every future identical submission.
-  const std::uint64_t input_sum = validate_input(query, pts);
+  validate_input(query, pts);
   const std::uint64_t fp = serve::dataset_fingerprint(pts);
   const std::string key = query_key(query, fp);
   // Every submission gets a trace identity, tracing on or off — exemplars
@@ -275,6 +273,10 @@ std::optional<QueryEngine::ResultFuture> QueryEngine::submit_impl(
   c_submitted_.inc();
   flight_.record(FlightRecorder::Event::Submit, key);
 
+  // The job a miss enqueues: built once, outside mu_, the first time the
+  // fast paths miss; the loop then re-checks them under the lock.
+  std::shared_ptr<Job> job;
+  std::optional<ResultFuture> job_fut;
   while (true) {
     {
       const std::lock_guard<std::mutex> lock(mu_);
@@ -330,10 +332,32 @@ std::optional<QueryEngine::ResultFuture> QueryEngine::submit_impl(
 
       // Slow path: a new job. Admission control happens here — the
       // bounded queue is the only place work can pile up.
-      auto job = std::make_shared<Job>();
+      if (job != nullptr) {
+        job->seq = submit_seq_.fetch_add(1, std::memory_order_relaxed);
+        if (queue_.try_push(job)) {
+          inflight_.emplace(key, *job_fut);
+          span.attr("outcome", "enqueued");
+          flight_.record(FlightRecorder::Event::Enqueue, key);
+          return job_fut;
+        }
+        if (!block) {
+          c_rejected_.inc();
+          span.attr("outcome", "rejected");
+          flight_.record(FlightRecorder::Event::Shed, key);
+          flight_.maybe_dump_on_shed();
+          return std::nullopt;
+        }
+      }
+    }
+    if (job == nullptr) {
+      // Both fast paths missed: copy the points and take the canonical
+      // checksum the audit layer re-verifies, without holding mu_. Cache
+      // hits and coalesced submissions never pay for either.
+      job = std::make_shared<Job>();
       job->key = key;
       job->query = query;
       job->problem = problem_of(query);
+      job->input_checksum = points_checksum(pts);
       job->pts = std::make_shared<const PointsSoA>(pts);
       job->submitted = t0;
       job->deadline = deadline;
@@ -343,27 +367,13 @@ std::optional<QueryEngine::ResultFuture> QueryEngine::submit_impl(
       // (tracing on), and on the trace root otherwise — either way the
       // job's trace_id travels with it across the queue.
       job->ctx = span.active() ? span.context() : root;
-      job->seq = submit_seq_.fetch_add(1, std::memory_order_relaxed);
       job->dataset_fp = fp;
-      job->input_checksum = input_sum;
       job->cost_sink = opts.cost;
       job->cost.trace_id = job->ctx.trace_id;
       job->cost.kind = kind_name(job->query);
       job->cost.dataset_fp = fp;
-      ResultFuture fut = job->promise.get_future().share();
-      if (queue_.try_push(job)) {
-        inflight_.emplace(key, fut);
-        span.attr("outcome", "enqueued");
-        flight_.record(FlightRecorder::Event::Enqueue, key);
-        return fut;
-      }
-      if (!block) {
-        c_rejected_.inc();
-        span.attr("outcome", "rejected");
-        flight_.record(FlightRecorder::Event::Shed, key);
-        flight_.maybe_dump_on_shed();
-        return std::nullopt;
-      }
+      job_fut = job->promise.get_future().share();
+      continue;
     }
     // Queue full in blocking mode: wait for a worker to free a slot, then
     // re-run the fast paths (the query may complete or coalesce meanwhile).
@@ -642,12 +652,16 @@ QueryEngine::Outcome QueryEngine::run_ladder(
   // returned a *wrong answer*, not a loud error. Count it, flag the job so
   // its eventual answer is audited unconditionally, and record the event.
   const auto note_integrity = [&](const vgpu::DeviceError& e) {
-    if (dynamic_cast<const IntegrityError*>(&e) == nullptr) return;
+    if (dynamic_cast<const IntegrityError*>(&e) == nullptr) return false;
     c_integrity_violations_.inc();
     job->integrity_flagged = true;
     flight_.record(FlightRecorder::Event::IntegrityViolation, job->key,
                    static_cast<std::uint32_t>(worker_index));
+    return true;
   };
+  // The last rung-1 answer an invariant rejected, kept for the audit
+  // escape below.
+  std::optional<QueryResult> rejected;
 
   // Rung 0: sharded fan-out. The query runs as K shards x tiles over the
   // whole backend pool, merged with the reduction tree. This must run
@@ -681,7 +695,7 @@ QueryEngine::Outcome QueryEngine::run_ladder(
       // a success; a breach throws IntegrityError into this rung's catch
       // as a non-transient fault, pushing the ladder to an independent
       // backend.
-      verify_result(job->query, job->pts->size(), result,
+      verify_result(job->query, *job->pts, result,
                     "QueryEngine rung 1");
       breaker.record_success();
       error = nullptr;  // a successful retry supersedes earlier attempts
@@ -690,7 +704,9 @@ QueryEngine::Outcome QueryEngine::run_ladder(
       qc.waste_seconds += wall_since(a0);
       ++qc.waste_events;
       ++qc.retries;
-      note_integrity(e);
+      // Only verify_result throws IntegrityError here, after execute()
+      // filled `result`.
+      if (note_integrity(e)) rejected = result;
       note_fault(worker_index, breaker, job->key);
       job->eventful = true;  // faulted queries keep their traces
       error = std::current_exception();
@@ -740,7 +756,7 @@ QueryEngine::Outcome QueryEngine::run_ladder(
     try {
       const std::lock_guard<std::mutex> failover_lock(failover_mu_);
       result = execute(failover_backend(), *job, qc, /*degraded=*/false);
-      verify_result(job->query, job->pts->size(), result,
+      verify_result(job->query, *job->pts, result,
                     "QueryEngine failover rung");
       failover_span.attr("to", failover_backend().caps().name);
       failover_span.attr("outcome", "ok");
@@ -767,7 +783,7 @@ QueryEngine::Outcome QueryEngine::run_ladder(
     try {
       const std::lock_guard<std::mutex> dev_lock(ctx.mu);
       result = execute(ctx.be, *job, qc, /*degraded=*/true);
-      verify_result(job->query, job->pts->size(), result,
+      verify_result(job->query, *job->pts, result,
                     "QueryEngine degraded rung");
       breaker.record_success();
       degraded = true;
@@ -785,6 +801,21 @@ QueryEngine::Outcome QueryEngine::run_ladder(
     } catch (...) {
       error = std::current_exception();
       return Outcome::Fail;
+    }
+  }
+
+  // Rung 3b: kNN and join have no degraded rung. When an invariant
+  // rejected their answer and no failover rung ran, the audit is the
+  // independent escape: it re-runs the query on the CPU reference backend,
+  // quarantines this worker, and delivers the reference answer (degraded,
+  // never cached). The rejected answer itself is never delivered: without
+  // a replacement the ladder goes on to requeue or fail.
+  if (rejected && !has_degraded_rung(*job)) {
+    result = *std::move(rejected);
+    if (maybe_audit(ctx, job, result)) {
+      degraded = true;
+      error = nullptr;
+      return Outcome::Success;
     }
   }
 

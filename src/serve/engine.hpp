@@ -35,8 +35,9 @@
 //
 //   planned execute ──(transient DeviceError)──▶ retry w/ backoff (bounded)
 //     └─▶ degraded execute (baseline variant, no planner)
-//           └─▶ requeue for another worker (bounded hand-offs)
-//                 └─▶ typed failure delivered to the client
+//           └─▶ audit escape (kNN/join answer an invariant rejected)
+//                 └─▶ requeue for another worker (bounded hand-offs)
+//                       └─▶ typed failure delivered to the client
 //
 // Deterministic application errors (CheckError from bad arguments) skip the
 // ladder entirely — re-running a wrong query cannot make it right — and
@@ -375,11 +376,10 @@ class QueryEngine {
     /// error, SLO breach): the trace is exempt from sampling. Only touched
     /// by the worker currently running the job.
     bool eventful = false;
-    /// Canonical checksum of the submitted coordinates (computed during
-    /// input validation, before the dataset is fingerprinted). The audit
-    /// layer re-verifies it before re-executing — staged-buffer
-    /// verification that the bytes being audited are the bytes the client
-    /// submitted.
+    /// Canonical checksum of the submitted coordinates (computed when a
+    /// submission becomes a job, from the caller's bytes). The audit layer
+    /// re-verifies it before re-executing — staged-buffer verification
+    /// that the bytes being audited are the bytes the client submitted.
     std::uint64_t input_checksum = 0;
     /// An execution attempt of this job tripped an algebraic invariant;
     /// the eventual answer is audited unconditionally.
@@ -493,9 +493,8 @@ class QueryEngine {
 
   /// Reject malformed submissions (non-finite coordinates, non-positive
   /// bucket width/radius, k < 1) with InvalidQueryError *before*
-  /// fingerprinting, and return the canonical coordinate checksum the
-  /// audit layer later re-verifies.
-  std::uint64_t validate_input(const Query& query, const PointsSoA& pts);
+  /// fingerprinting.
+  void validate_input(const Query& query, const PointsSoA& pts);
 
   /// Resolve a submission's deadline (options override config default).
   Clock::time_point deadline_from(const SubmitOptions& opts,

@@ -6,9 +6,10 @@
 
 namespace tbs::serve {
 
-void verify_result(const Query& q, std::size_t n, const QueryResult& r,
+void verify_result(const Query& q, const PointsSoA& pts, const QueryResult& r,
                    const char* where) {
   if (!integrity_enabled()) return;
+  const std::size_t n = pts.size();
   const std::uint64_t all_pairs = expected_diagonal_pairs(n);
 
   if (const auto* sq = std::get_if<SdhQuery>(&q)) {
@@ -30,7 +31,7 @@ void verify_result(const Query& q, std::size_t n, const QueryResult& r,
     verify_pair_count(pr->pairs_within, all_pairs, where);
     return;
   }
-  if (std::holds_alternative<KnnQuery>(q)) {
+  if (const auto* kq = std::get_if<KnnQuery>(&q)) {
     const auto* kr = std::get_if<kernels::KnnResult>(&r);
     if (kr == nullptr)
       throw IntegrityError(std::string(where) + ": knn query yielded a "
@@ -38,9 +39,20 @@ void verify_result(const Query& q, std::size_t n, const QueryResult& r,
     if (kr->neighbours.size() != n)
       throw IntegrityError(std::string(where) +
                            ": knn neighbour list count != point count");
+    // Every kNN kernel requires n > k and returns k distances per point.
+    const auto k = static_cast<std::size_t>(kq->k);
+    for (const std::vector<float>& row : kr->neighbours) {
+      if (row.size() != k)
+        throw IntegrityError(std::string(where) +
+                             ": knn row length != k");
+      for (std::size_t j = 1; j < row.size(); ++j)
+        if (row[j] < row[j - 1])
+          throw IntegrityError(std::string(where) +
+                               ": knn row is not in ascending order");
+    }
     return;
   }
-  if (std::holds_alternative<JoinQuery>(q)) {
+  if (const auto* jq = std::get_if<JoinQuery>(&q)) {
     const auto* jr = std::get_if<kernels::JoinResult>(&r);
     if (jr == nullptr)
       throw IntegrityError(std::string(where) + ": join query yielded a "
@@ -48,10 +60,15 @@ void verify_result(const Query& q, std::size_t n, const QueryResult& r,
     if (jr->pairs.size() > all_pairs)
       throw IntegrityError(std::string(where) +
                            ": join emitted more pairs than exist");
-    for (const auto& [i, j] : jr->pairs)
+    const auto r2 = static_cast<float>(jq->radius * jq->radius);
+    for (const auto& [i, j] : jr->pairs) {
       if (i >= j || j >= n)
         throw IntegrityError(std::string(where) +
                              ": join pair indices out of range");
+      if (!(dist2(pts[i], pts[j]) < r2))
+        throw IntegrityError(std::string(where) +
+                             ": join pair is not within the radius");
+    }
     return;
   }
 }

@@ -6,8 +6,10 @@
 // 2-body statistics admit exact algebraic invariants (Eq. 1 of the source
 // paper): an SDH over N points must total N(N-1)/2 counts, a cross tile
 // over shards a,b must total N_a * N_b, and a PCF pair count can never
-// exceed the total pair count. The checks are O(buckets) — microseconds
-// against milliseconds of kernel time — so they run on every launch.
+// exceed the total pair count; kNN rows and join pairs are checked against
+// the kernels' own contract. The checks are linear in the output size —
+// O(buckets) for SDH, microseconds against milliseconds of kernel time —
+// so they run on every launch.
 //
 // Violations throw IntegrityError, a *non-transient* vgpu::DeviceError:
 // re-running the same launch on the same corrupted lane cannot be trusted,
@@ -27,6 +29,7 @@
 #include <string>
 
 #include "common/histogram.hpp"
+#include "common/points.hpp"
 #include "serve/request.hpp"
 #include "vgpu/fault.hpp"
 
@@ -102,9 +105,13 @@ inline void verify_pair_count(std::uint64_t pairs, std::uint64_t max_pairs,
         " exceeds the " + std::to_string(max_pairs) + " pairs examined");
 }
 
-/// Whole-result invariant check for a completed n-point query; dispatches
-/// on the query kind. No-op when integrity is disabled.
-void verify_result(const Query& q, std::size_t n, const QueryResult& r,
+/// Whole-result invariant check for a completed query over `pts`;
+/// dispatches on the query kind. Every check is linear in the output size:
+/// an SDH conserves N(N-1)/2, a PCF count is at most that, every kNN row
+/// holds k ascending distances, and every join pair is canonical (i < j)
+/// and passes the kernels' own test dist2(p_i, p_j) < float(r*r). No-op
+/// when integrity is disabled.
+void verify_result(const Query& q, const PointsSoA& pts, const QueryResult& r,
                    const char* where);
 
 /// Bit-exact payload comparison for the audit layer: histogram counts,

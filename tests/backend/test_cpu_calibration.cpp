@@ -11,6 +11,7 @@
 
 #include "backend/cpu_backend.hpp"
 #include "common/datagen.hpp"
+#include "cpubase/cell_grid.hpp"
 #include "kernels/registry.hpp"
 
 namespace tbs::backend {
@@ -77,6 +78,28 @@ TEST(CpuCalibration, PinnedPairCostSkipsCalibrationAndIsDeterministic) {
                        cfg.launch_overhead_seconds);
   // And pinned means pinned: a second call is bit-identical.
   EXPECT_DOUBLE_EQ(be.estimate(v, sample, desc, 128, n).seconds, e.seconds);
+}
+
+TEST(CpuCalibration, PcfIsPricedByTheGridsCandidatePairs) {
+  CpuBackend::Config cfg;
+  cfg.threads = 2;
+  cfg.pair_cost_seconds = 2e-9;
+  CpuBackend be(cfg);
+
+  // Sparse radius query: the grid examines a small share of all pairs,
+  // and the estimate prices exactly those.
+  const PointsSoA pts = uniform_box(8000, 80.0f, 9);
+  const auto desc = kernels::ProblemDesc::pcf(1.0);
+  const kernels::KernelVariant* v = kernels::KernelRegistry::instance().find(
+      kernels::ProblemType::Pcf, "Register-SHM");
+  ASSERT_NE(v, nullptr);
+  const double n = static_cast<double>(pts.size());
+  const Estimate e = be.estimate(*v, pts, desc, 256, n);
+  EXPECT_DOUBLE_EQ(e.seconds, cpubase::pcf_grid_pairs(pts, 1.0) *
+                                      cfg.pair_cost_seconds / 2.0 +
+                                  cfg.launch_overhead_seconds);
+  const double all_pairs = n * (n - 1.0) / 2.0;
+  EXPECT_LT(e.seconds, all_pairs * cfg.pair_cost_seconds / 2.0 / 10.0);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/datagen.hpp"
+#include "cpubase/cell_grid.hpp"
 
 namespace tbs::cpubase {
 namespace {
@@ -24,6 +25,14 @@ TEST(CpuSdh, MatchesBruteForce) {
   ThreadPool pool(4);
   const auto got = cpu_sdh(pool, pts, 0.4, 50);
   EXPECT_EQ(got, brute_sdh(pts, 0.4, 50));
+  // The tiled loop spreads its updates over several private copies per
+  // worker; few buckets make consecutive pairs share counters.
+  for (const std::size_t buckets : {64u, 256u}) {
+    const double w = pts.max_possible_distance() / buckets + 1e-4;
+    EXPECT_EQ(cpu_sdh_tiled(pool, pts, w, buckets),
+              brute_sdh(pts, w, buckets))
+        << buckets << " buckets";
+  }
 }
 
 TEST(CpuSdh, TotalIsAllPairs) {
@@ -79,11 +88,16 @@ TEST(CpuKnn, RowsOwnExactlyKFloats) {
   // and no more: n rows of n-float capacity would make one result n^2.
   const auto pts = uniform_box(500, 5.0f, 561);
   ThreadPool pool(2);
-  const auto knn = cpu_knn(pool, pts, 3);
-  ASSERT_EQ(knn.size(), pts.size());
-  for (const auto& row : knn) {
-    EXPECT_EQ(row.size(), 3u);
-    EXPECT_EQ(row.capacity(), 3u);
+  // Moved, never copied: a copy would trim every row's capacity.
+  std::vector<std::vector<std::vector<float>>> results;
+  results.push_back(cpu_knn(pool, pts, 3));
+  results.push_back(cpu_knn_grid(pool, pts, 3));
+  for (const auto& knn : results) {
+    ASSERT_EQ(knn.size(), pts.size());
+    for (const auto& row : knn) {
+      EXPECT_EQ(row.size(), 3u);
+      EXPECT_EQ(row.capacity(), 3u);
+    }
   }
 }
 

@@ -252,6 +252,40 @@ TEST(InputValidation, DegenerateQueryParametersAreRejected) {
   EXPECT_EQ(engine.launch_count(), 0u);
 }
 
+TEST(IntegrityInvariants, KnnRowOutOfOrderOrOfWrongLengthIsRejected) {
+  const PointsSoA pts = test_points(16);
+  cpubase::ThreadPool pool(2);
+  kernels::KnnResult r;
+  r.neighbours = cpubase::cpu_knn(pool, pts, 3);
+  EXPECT_NO_THROW(verify_result(KnnQuery{3}, pts, r, "test"));
+
+  kernels::KnnResult unsorted = r;
+  std::swap(unsorted.neighbours[7][0], unsorted.neighbours[7][2]);
+  ASSERT_LT(unsorted.neighbours[7][2], unsorted.neighbours[7][0]);
+  EXPECT_THROW(verify_result(KnnQuery{3}, pts, unsorted, "test"),
+               IntegrityError);
+
+  kernels::KnnResult short_row = r;
+  short_row.neighbours[3].pop_back();
+  EXPECT_THROW(verify_result(KnnQuery{3}, pts, short_row, "test"),
+               IntegrityError);
+}
+
+TEST(IntegrityInvariants, JoinPairOutsideTheRadiusIsRejected) {
+  const PointsSoA pts = test_points(17);
+  cpubase::ThreadPool pool(2);
+  kernels::JoinResult r;
+  r.pairs = cpubase::cpu_distance_join(pool, pts, 1.0);
+  ASSERT_FALSE(r.pairs.empty());
+  EXPECT_NO_THROW(verify_result(JoinQuery{1.0}, pts, r, "test"));
+
+  // A canonical, in-range pair the kernels' own test rejects.
+  std::uint32_t j = 1;
+  while (dist2(pts[0], pts[j]) < 1.0f) ++j;
+  r.pairs.emplace_back(0u, j);
+  EXPECT_THROW(verify_result(JoinQuery{1.0}, pts, r, "test"), IntegrityError);
+}
+
 TEST(IntegrityHedging, StalledShardLaneIsHedgedWithExactAnswer) {
   const PointsSoA pts = test_points(20);
   core::TwoBodyFramework fw;
