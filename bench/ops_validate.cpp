@@ -12,7 +12,9 @@
 //                         tbs.ops_feed.v1, seq strictly increases.
 //   --prometheus <file>   text exposition: tbs_-prefixed samples, at least
 //                         one # TYPE line, histogram buckets end at +Inf.
-//   --flight <file>       flight-recorder dump: schema + events array.
+//   --flight <file>       flight-recorder dump: schema + events array,
+//                         and every event carries a 16-hex trace_id (the
+//                         key that joins it to spans and the cost ledger).
 //   --cost <file>         cost ledger: schema tbs.cost_ledger.v1, rollup
 //                         sections present, recorded queries > 0, and every
 //                         sharded recent entry's Σ tile seconds balances
@@ -25,8 +27,10 @@
 //                         overhead under 1% of p50.
 //   --require-exemplar    the prometheus file must carry at least one
 //                         OpenMetrics exemplar (# {trace_id="..."}).
-//   --expect-breach       the flight dump must have reason "slo_breach"
-//                         and a non-empty trace_id (SLO negative test).
+//   --expect-breach       the flight dump must have reason "slo_breach",
+//                         a non-empty trace_id and a positive
+//                         threshold_seconds naming the breached objective
+//                         (SLO negative test).
 //
 // Exit codes: 0 all named artifacts valid, 1 validation failure,
 // 2 usage / missing-file / JSON-parse errors.
@@ -243,6 +247,12 @@ void validate_flight(const std::string& path, bool expect_breach) {
     fail_check("%s: bad schema \"%s\"", path.c_str(),
                doc.at("schema").string.c_str());
   tbs::check(doc.at("events").is_array(), path + ": events is not an array");
+  for (const json::Value& e : doc.at("events").array) {
+    const json::Value* trace_id = e.find("trace_id");
+    if (trace_id == nullptr || !is_hex_id(trace_id->string))
+      fail_check("%s: event %g (%s) carries no 16-hex trace_id", path.c_str(),
+                 e.at("ticket").number, e.at("event").string.c_str());
+  }
   if (expect_breach) {
     if (doc.at("reason").string != "slo_breach")
       fail_check("%s: expected reason slo_breach, got \"%s\"", path.c_str(),
@@ -251,6 +261,10 @@ void validate_flight(const std::string& path, bool expect_breach) {
     if (trace_id == nullptr || trace_id->string.empty())
       fail_check("%s: SLO-breach dump does not name the breaching trace",
                  path.c_str());
+    if (!(doc.at("threshold_seconds").number > 0.0))
+      fail_check("%s: SLO-breach dump does not name the breached objective "
+                 "(threshold_seconds %g)",
+                 path.c_str(), doc.at("threshold_seconds").number);
   }
   std::printf("flight      %-40s reason \"%s\", %zu event(s)\n", path.c_str(),
               doc.at("reason").string.c_str(), doc.at("events").array.size());

@@ -76,6 +76,7 @@ std::string_view to_string(CostPhase p) {
     case CostPhase::Launch: return "launch";
     case CostPhase::Merge: return "merge";
     case CostPhase::CacheFill: return "cache_fill";
+    case CostPhase::Audit: return "audit";
   }
   return "unknown";
 }

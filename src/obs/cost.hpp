@@ -10,7 +10,8 @@
 // CADISHI-style measured-cost dispatch starts from exactly this ledger.
 //
 // Model: the serve engine fills one QueryCost per query as it moves through
-// the pipeline (queue → plan → stage → launch → merge → cache-fill). For
+// the pipeline (queue → plan → stage → launch → merge → cache-fill, plus
+// audit when the answer is re-executed on the reference backend). For
 // sharded queries the launch phase carries per-tile rows (shard pair, lane,
 // seconds, staged bytes, device cycles, failover flag) and the phase's
 // seconds are the *sum of tile resource-seconds* — tiles run in parallel,
@@ -47,9 +48,10 @@ enum class CostPhase : int {
   Stage = 2,     ///< operand staging / routing onto lanes
   Launch = 3,    ///< kernel execution (sharded: Σ tile resource-seconds)
   Merge = 4,     ///< partial-result reduction
-  CacheFill = 5  ///< result-cache store
+  CacheFill = 5, ///< result-cache store
+  Audit = 6      ///< cross-backend re-execution + bit-exact compare
 };
-inline constexpr std::size_t kCostPhases = 6;
+inline constexpr std::size_t kCostPhases = 7;
 
 [[nodiscard]] std::string_view to_string(CostPhase p);
 

@@ -1,9 +1,12 @@
 #include "serve/engine.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <exception>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -34,6 +37,137 @@ std::uint64_t points_checksum(const PointsSoA& pts) {
   return h;
 }
 
+using Event = FlightRecorder::Event;
+using EC = EngineCounters;
+
+/// Every counter an engine event bumps, and the EngineCounters field
+/// stats() copies it into (serve.slo.breached has none). Resolved once at
+/// construction into QueryEngine::counters_, in this order.
+struct CounterDef {
+  const char* name;
+  std::uint64_t EC::*field;
+};
+constexpr CounterDef kCounters[] = {
+    {"serve.submitted", &EC::submitted}, {"serve.rejected", &EC::rejected},
+    {"serve.coalesced", &EC::coalesced}, {"serve.cache_hits", &EC::cache_hits},
+    {"serve.executed", &EC::executed}, {"serve.completed", &EC::completed},
+    {"serve.failed", &EC::failed}, {"serve.faults", &EC::faults},
+    {"serve.retries", &EC::retries}, {"serve.degraded", &EC::degraded},
+    {"serve.breaker_opens", &EC::breaker_opens},
+    {"serve.failovers", &EC::failovers}, {"serve.expired", &EC::expired},
+    {"serve.requeued", &EC::requeued}, {"serve.abandoned", &EC::abandoned},
+    {"serve.rejected_invalid", &EC::rejected_invalid},
+    {"serve.slo.breached", nullptr},
+    {"serve.shard.queries", &EC::shard_queries},
+    {"serve.shard.tiles", &EC::shard_tiles},
+    {"serve.shard.lanes_lost", &EC::shard_lanes_lost},
+    {"serve.shard.tiles_failed_over", &EC::shard_tiles_failed_over},
+    {"serve.shard.tiles_hedged", &EC::shard_tiles_hedged},
+    {"serve.shard.hedge_wins", &EC::shard_hedge_wins},
+    {"serve.integrity.invariant_violations", &EC::integrity_violations},
+    {"serve.integrity.audits", &EC::audits},
+    {"serve.integrity.audit_mismatches", &EC::audit_mismatches},
+    {"serve.integrity.quarantines", &EC::quarantines},
+    {"serve.integrity.cache_invalidated", &EC::cache_invalidated},
+};
+static_assert(std::size(kCounters) <= 32, "EventRow::counters is 32 bits");
+
+/// The counter-mask bit of a kCounters name (a typo fails to compile).
+constexpr std::uint32_t C(std::string_view name) {
+  for (std::size_t i = 0; i < std::size(kCounters); ++i)
+    if (name == kCounters[i].name) return 1u << i;
+  throw std::logic_error("unknown engine counter");
+}
+
+/// Yes/no columns of an EventRow: kRing writes one flight-ring entry per
+/// unit of n, kEventful exempts the query's trace from sampling, kAudit
+/// audits the job's answer whatever the sampling, kDump may trigger the
+/// recorder's rate-limited dump.
+enum Trait : std::uint8_t { kRing = 1, kEventful = 2, kAudit = 4, kDump = 8 };
+constexpr std::uint8_t kTrouble = kRing | kEventful;
+
+/// What one note() of an event kind feeds.
+struct EventRow {
+  std::uint32_t counters = 0;  ///< bit i: kCounters[i] gets n added
+  std::uint8_t traits = 0;     ///< Trait bits
+  std::uint64_t obs::QueryCost::*tally = nullptr;  ///< ledger count += n
+  bool obs::QueryCost::*flag = nullptr;            ///< ledger flag = true
+  std::optional<obs::CostPhase> phase{};  ///< ledger phase += seconds
+  const char* outcome = nullptr;  ///< the serve.submit span's `outcome`
+};
+
+/// The event table: one row per kind, and the only place an event's sinks
+/// are decided. Healthy-path kinds leave the trace to sampling; every
+/// fault, integrity and shard-trouble kind is eventful. Requeue is not: its
+/// note runs after the job is back in the queue (so it must not touch the
+/// job), a ladder requeue's trace is already kept by the faults before it,
+/// and a breaker bounce is scheduling, not trouble.
+constexpr std::array<EventRow, FlightRecorder::kEvents> kEventTable = [] {
+  std::array<EventRow, FlightRecorder::kEvents> t{};
+  const auto row = [&t](Event e) -> EventRow& {
+    return t[static_cast<std::size_t>(e)];
+  };
+  using QC = obs::QueryCost;
+  // Submit path: the outcome restates the event on serve.submit.
+  row(Event::Submit) = {.counters = C("serve.submitted"), .traits = kRing};
+  row(Event::CacheHit) = {
+      .counters = C("serve.cache_hits") | C("serve.completed"),
+      .traits = kRing, .flag = &QC::cache_hit, .outcome = "cache_hit"};
+  row(Event::Coalesce) = {.counters = C("serve.coalesced"), .traits = kRing,
+                          .flag = &QC::coalesced, .outcome = "coalesced"};
+  row(Event::Enqueue) = {.traits = kRing, .outcome = "enqueued"};
+  row(Event::Shed) = {.counters = C("serve.rejected"),
+                      .traits = kRing | kDump, .outcome = "rejected"};
+  row(Event::Expire) = {.counters = C("serve.expired"), .traits = kTrouble,
+                        .outcome = "expired"};
+  row(Event::RejectInvalid) = {.counters = C("serve.rejected_invalid")};
+  // Worker path and the degradation ladder.
+  row(Event::ExecuteBegin) = {.traits = kRing};
+  row(Event::Complete) = {
+      .counters = C("serve.executed") | C("serve.completed"), .traits = kRing};
+  row(Event::Fail) = {.counters = C("serve.executed") | C("serve.failed"),
+                      .traits = kTrouble, .flag = &QC::failed};
+  row(Event::Abandon) = {.counters = C("serve.abandoned"), .traits = kTrouble};
+  row(Event::Fault) = {.counters = C("serve.faults"), .traits = kTrouble};
+  row(Event::Retry) = {.counters = C("serve.retries"), .traits = kTrouble,
+                       .tally = &QC::retries};
+  row(Event::BreakerOpen) = {.counters = C("serve.breaker_opens"),
+                             .traits = kTrouble | kDump};
+  row(Event::Failover) = {.counters = C("serve.failovers"),
+                          .traits = kTrouble, .flag = &QC::failover};
+  row(Event::Degraded) = {.counters = C("serve.degraded"),
+                          .traits = kTrouble, .flag = &QC::degraded};
+  row(Event::Requeue) = {.counters = C("serve.requeued"), .traits = kRing};
+  row(Event::SloBreach) = {.counters = C("serve.slo.breached"),
+                           .traits = kTrouble | kDump};
+  // Sharded path.
+  row(Event::ShardQuery) = {.counters = C("serve.shard.queries"),
+                            .traits = kRing};
+  row(Event::ShardTiles) = {.counters = C("serve.shard.tiles")};
+  row(Event::ShardFailover) = {.counters = C("serve.shard.lanes_lost"),
+                               .traits = kTrouble, .tally = &QC::lanes_lost};
+  row(Event::ShardTilesFailedOver) = {
+      .counters = C("serve.shard.tiles_failed_over"), .traits = kEventful,
+      .tally = &QC::tiles_failed_over};
+  row(Event::ShardHedge) = {.counters = C("serve.shard.tiles_hedged"),
+                            .traits = kEventful};
+  row(Event::HedgeWin) = {.counters = C("serve.shard.hedge_wins"),
+                          .traits = kEventful};
+  // Integrity: invariants, audits and the quarantines they cause.
+  row(Event::IntegrityViolation) = {
+      .counters = C("serve.integrity.invariant_violations"),
+      .traits = kTrouble | kAudit};
+  row(Event::Audit) = {.counters = C("serve.integrity.audits"),
+                       .traits = kRing, .phase = obs::CostPhase::Audit};
+  row(Event::AuditMismatch) = {
+      .counters = C("serve.integrity.audit_mismatches"), .traits = kTrouble};
+  row(Event::Quarantine) = {.counters = C("serve.integrity.quarantines"),
+                            .traits = kTrouble};
+  row(Event::CacheInvalidated) = {
+      .counters = C("serve.integrity.cache_invalidated"), .traits = kEventful};
+  return t;
+}();
+
 }  // namespace
 
 QueryEngine::QueryEngine() : QueryEngine(Config{}) {}
@@ -42,39 +176,6 @@ QueryEngine::QueryEngine(Config cfg)
     : cfg_(cfg),
       tracer_(cfg.tracer != nullptr ? cfg.tracer : &obs::Tracer::global()),
       flight_(cfg.flight_capacity, cfg.flight),
-      c_submitted_(metrics_.counter("serve.submitted")),
-      c_rejected_(metrics_.counter("serve.rejected")),
-      c_coalesced_(metrics_.counter("serve.coalesced")),
-      c_cache_hits_(metrics_.counter("serve.cache_hits")),
-      c_executed_(metrics_.counter("serve.executed")),
-      c_completed_(metrics_.counter("serve.completed")),
-      c_failed_(metrics_.counter("serve.failed")),
-      c_launches_(metrics_.counter("vgpu.launches")),
-      c_faults_(metrics_.counter("serve.faults")),
-      c_retries_(metrics_.counter("serve.retries")),
-      c_breaker_open_(metrics_.counter("serve.breaker_opens")),
-      c_degraded_(metrics_.counter("serve.degraded")),
-      c_failovers_(metrics_.counter("serve.failovers")),
-      c_expired_(metrics_.counter("serve.expired")),
-      c_requeued_(metrics_.counter("serve.requeued")),
-      c_abandoned_(metrics_.counter("serve.abandoned")),
-      c_shard_queries_(metrics_.counter("serve.shard.queries")),
-      c_shard_tiles_(metrics_.counter("serve.shard.tiles")),
-      c_shard_lanes_lost_(metrics_.counter("serve.shard.lanes_lost")),
-      c_shard_tiles_failed_over_(
-          metrics_.counter("serve.shard.tiles_failed_over")),
-      c_shard_tiles_hedged_(metrics_.counter("serve.shard.tiles_hedged")),
-      c_shard_hedge_wins_(metrics_.counter("serve.shard.hedge_wins")),
-      c_slo_breached_(metrics_.counter("serve.slo.breached")),
-      c_rejected_invalid_(metrics_.counter("serve.rejected_invalid")),
-      c_integrity_violations_(
-          metrics_.counter("serve.integrity.invariant_violations")),
-      c_audits_(metrics_.counter("serve.integrity.audits")),
-      c_audit_mismatches_(
-          metrics_.counter("serve.integrity.audit_mismatches")),
-      c_quarantines_(metrics_.counter("serve.integrity.quarantines")),
-      c_cache_invalidated_(
-          metrics_.counter("serve.integrity.cache_invalidated")),
       h_latency_(metrics_.histogram("serve.latency_seconds",
                                     obs::default_latency_bounds())),
       queue_(cfg.queue_capacity),
@@ -92,6 +193,9 @@ QueryEngine::QueryEngine(Config cfg)
         "QueryEngine: audit_rate must be in [0, 1]");
   check(cfg_.shard_hedge_after_seconds >= 0.0,
         "QueryEngine: shard_hedge_after_seconds must be >= 0");
+  for (const CounterDef& c : kCounters)
+    counters_.push_back(&metrics_.counter(c.name));
+  obs::Counter* const launches = &metrics_.counter("vgpu.launches");
   slots_.reserve(cfg_.devices);
   for (std::size_t d = 0; d < cfg_.devices; ++d) {
     slots_.push_back(std::make_unique<DeviceSlot>(cfg_.spec));
@@ -105,8 +209,8 @@ QueryEngine::QueryEngine(Config cfg)
     // context is exactly the owning query's, and the launch span joins its
     // trace.
     slots_.back()->dev.set_launch_observer(
-        [this](const vgpu::LaunchRecord& rec) {
-          c_launches_.inc();
+        [this, launches](const vgpu::LaunchRecord& rec) {
+          launches->inc();
           if (!tracer_->enabled()) return;
           const auto now = obs::Tracer::Clock::now();
           const auto start =
@@ -159,8 +263,7 @@ void QueryEngine::shutdown() {
   // leaving them broken-promise — and leave an audit trail, so shutdown can
   // never drop work silently.
   while (std::optional<std::shared_ptr<Job>> job = queue_.pop()) {
-    c_abandoned_.inc();
-    flight_.record(FlightRecorder::Event::Abandon, (*job)->key);
+    note(Event::Abandon, **job);
     {
       const std::lock_guard<std::mutex> lock(mu_);
       inflight_.erase((*job)->key);
@@ -231,7 +334,7 @@ QueryEngine::Clock::time_point QueryEngine::deadline_from(
 
 void QueryEngine::validate_input(const Query& query, const PointsSoA& pts) {
   const auto reject = [this](const std::string& why) {
-    c_rejected_invalid_.inc();
+    note(Event::RejectInvalid, {});
     throw InvalidQueryError("QueryEngine: invalid query rejected — " + why);
   };
   if (const auto* sq = std::get_if<SdhQuery>(&query)) {
@@ -264,90 +367,69 @@ std::optional<QueryEngine::ResultFuture> QueryEngine::submit_impl(
   const std::uint64_t fp = serve::dataset_fingerprint(pts);
   const std::string key = query_key(query, fp);
   // Every submission gets a trace identity, tracing on or off — exemplars
-  // and flight-recorder dumps name queries by trace id either way. The
+  // and flight-recorder events name queries by trace id either way. The
   // submit span is the trace root ({trace_id, 0}); everything downstream
   // parents on it.
   const obs::TraceContext root{obs::Tracer::mint_trace_id(), 0};
   obs::Span span(*tracer_, "serve.submit", "serve", root);
   span.attr("key", key);
-  c_submitted_.inc();
-  flight_.record(FlightRecorder::Event::Submit, key);
+  // This submission's ledger entry: a cache hit records it, a coalesced
+  // client's sink gets it as the marker, and a new job starts from it.
+  obs::QueryCost qc;
+  qc.trace_id = root.trace_id;
+  qc.kind = kind_name(query);
+  qc.dataset_fp = fp;
+  const Who who(key, root.trace_id, span, qc);
+  note(Event::Submit, who);
 
   // The job a miss enqueues: built once, outside mu_, the first time the
   // fast paths miss; the loop then re-checks them under the lock.
   std::shared_ptr<Job> job;
   std::optional<ResultFuture> job_fut;
   while (true) {
+    std::optional<QueryResult> hit;
+    std::optional<ResultFuture> joined;
+    bool admitted = false;
     {
       const std::lock_guard<std::mutex> lock(mu_);
-
-      // Fast path 1: already computed — serve from the LRU, zero launches.
-      if (std::optional<QueryResult> hit = cache_.find(key)) {
-        c_cache_hits_.inc();
-        c_completed_.inc();
-        std::promise<QueryResult> ready;
-        ready.set_value(*std::move(hit));
-        const double seconds =
-            std::chrono::duration<double>(Clock::now() - t0).count();
-        latency_.record(seconds);
-        h_latency_.observe(seconds, root.trace_id);
-        // A cache hit is a completion the SLO judges like any other (and
-        // under heavy dedup it is *most* completions).
-        if (slo_.record(seconds, /*error=*/false)) {
-          c_slo_breached_.inc();
-          flight_.dump_slo_monitor_breach(latency_.summary().p99,
-                                          obs::trace_id_hex(root.trace_id));
-        }
-        span.attr("outcome", "cache_hit");
-        flight_.record(FlightRecorder::Event::CacheHit, key, 0, seconds);
-        // A cache hit is a completed query with an (almost) empty ledger:
-        // no phases ran, the whole cost is the lookup itself.
-        obs::QueryCost qc;
-        qc.trace_id = root.trace_id;
-        qc.kind = kind_name(query);
-        qc.dataset_fp = fp;
-        qc.cache_hit = true;
-        qc.total_seconds = seconds;
-        cost_ledger_.record(qc);
-        if (opts.cost) *opts.cost = std::move(qc);
-        return ready.get_future().share();
-      }
-
-      // Fast path 2: identical query in flight — coalesce onto it.
-      if (const auto it = inflight_.find(key); it != inflight_.end()) {
-        c_coalesced_.inc();
-        span.attr("outcome", "coalesced");
-        flight_.record(FlightRecorder::Event::Coalesce, key);
-        // The work is attributed once, to the winning submission; this
-        // client's sink gets only the coalesced marker (not recorded in
-        // the ledger — that would double-count the query).
-        if (opts.cost) {
-          opts.cost->trace_id = root.trace_id;
-          opts.cost->kind = kind_name(query);
-          opts.cost->dataset_fp = fp;
-          opts.cost->coalesced = true;
-        }
-        return it->second;
-      }
-
-      // Slow path: a new job. Admission control happens here — the
-      // bounded queue is the only place work can pile up.
-      if (job != nullptr) {
-        job->seq = submit_seq_.fetch_add(1, std::memory_order_relaxed);
-        if (queue_.try_push(job)) {
-          inflight_.emplace(key, *job_fut);
-          span.attr("outcome", "enqueued");
-          flight_.record(FlightRecorder::Event::Enqueue, key);
-          return job_fut;
-        }
-        if (!block) {
-          c_rejected_.inc();
-          span.attr("outcome", "rejected");
-          flight_.record(FlightRecorder::Event::Shed, key);
-          flight_.maybe_dump_on_shed();
-          return std::nullopt;
+      // Fast path 1: already computed. Fast path 2: an identical query in
+      // flight. Otherwise admission control: the bounded queue is the only
+      // place work can pile up.
+      hit = cache_.find(key);
+      if (!hit) {
+        if (const auto it = inflight_.find(key); it != inflight_.end()) {
+          joined = it->second;
+        } else if (job != nullptr) {
+          job->seq = submit_seq_.fetch_add(1, std::memory_order_relaxed);
+          admitted = queue_.try_push(job);
+          if (admitted) {
+            inflight_.emplace(key, *job_fut);
+            // Under mu_, so the ring shows it before the worker's pop.
+            note(Event::Enqueue, who);
+          }
         }
       }
+    }
+    if (hit) {
+      // Served from the LRU with zero launches; its completion bookkeeping
+      // runs outside mu_.
+      std::promise<QueryResult> ready;
+      ready.set_value(*std::move(hit));
+      complete(Event::CacheHit, who, 0, wall_since(t0), opts.cost);
+      return ready.get_future().share();
+    }
+    if (joined) {
+      // The work is attributed once, to the winning submission; this
+      // client's sink gets only the coalesced marker (not recorded in the
+      // ledger — that would double-count the query).
+      note(Event::Coalesce, who);
+      if (opts.cost) *opts.cost = qc;
+      return joined;
+    }
+    if (admitted) return job_fut;
+    if (job != nullptr && !block) {
+      note(Event::Shed, who);
+      return std::nullopt;
     }
     if (job == nullptr) {
       // Both fast paths missed: copy the points and take the canonical
@@ -367,11 +449,8 @@ std::optional<QueryEngine::ResultFuture> QueryEngine::submit_impl(
       // (tracing on), and on the trace root otherwise — either way the
       // job's trace_id travels with it across the queue.
       job->ctx = span.active() ? span.context() : root;
-      job->dataset_fp = fp;
       job->cost_sink = opts.cost;
-      job->cost.trace_id = job->ctx.trace_id;
-      job->cost.kind = kind_name(job->query);
-      job->cost.dataset_fp = fp;
+      job->cost = qc;
       job_fut = job->promise.get_future().share();
       continue;
     }
@@ -387,9 +466,7 @@ std::optional<QueryEngine::ResultFuture> QueryEngine::submit_impl(
       if (!slot_free && queue_.closed())
         throw ServeError("QueryEngine: submit after shutdown");
       if (!slot_free && Clock::now() >= deadline) {
-        c_expired_.inc();
-        span.attr("outcome", "expired");
-        flight_.record(FlightRecorder::Event::Expire, key);
+        note(Event::Expire, who);
         std::promise<QueryResult> expired;
         expired.set_exception(std::make_exception_ptr(DeadlineExceeded(
             "QueryEngine: deadline expired waiting for a queue slot")));
@@ -437,37 +514,69 @@ void QueryEngine::worker_loop(std::size_t worker_index) {
   }
 }
 
-void QueryEngine::finish_expired(std::size_t worker_index,
-                                 const std::shared_ptr<Job>& job) {
-  c_expired_.inc();
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    inflight_.erase(job->key);
+void QueryEngine::note(Event kind, const Who& who, std::size_t worker,
+                       std::uint64_t n, double seconds) {
+  if (n == 0) return;
+  const EventRow& row = kEventTable[static_cast<std::size_t>(kind)];
+  for (std::uint32_t bits = row.counters; bits != 0; bits &= bits - 1)
+    counters_[static_cast<std::size_t>(std::countr_zero(bits))]->inc(n);
+  if ((row.traits & kRing) != 0)
+    for (std::uint64_t i = 0; i < n; ++i)
+      flight_.record(kind, who.key, static_cast<std::uint32_t>(worker),
+                     seconds, who.trace_id);
+  if (who.job != nullptr) {
+    if ((row.traits & kEventful) != 0) who.job->eventful = true;
+    if ((row.traits & kAudit) != 0) who.job->integrity_flagged = true;
   }
-  flight_.record(FlightRecorder::Event::Expire, job->key,
-                 static_cast<std::uint32_t>(worker_index));
-  job->promise.set_exception(std::make_exception_ptr(DeadlineExceeded(
-      "QueryEngine: deadline expired before execution (query " + job->key +
-      ")")));
+  if (obs::QueryCost* qc = who.cost) {
+    if (row.tally != nullptr) qc->*row.tally += n;
+    if (row.flag != nullptr) qc->*row.flag = true;
+    if (row.phase) qc->phase(*row.phase).seconds += seconds;
+  }
+  if (who.span != nullptr && row.outcome != nullptr)
+    who.span->attr("outcome", row.outcome);
+  if ((row.traits & kDump) != 0)
+    flight_.maybe_dump(kind, cfg_.slo.latency_seconds, who.trace_id,
+                       [this] { return latency_.summary().p99; });
 }
 
-void QueryEngine::note_fault(std::size_t worker_index, CircuitBreaker& breaker,
-                             const std::string& key) {
-  c_faults_.inc();
-  flight_.record(FlightRecorder::Event::Fault, key,
-                 static_cast<std::uint32_t>(worker_index));
-  if (breaker.record_failure()) {
-    c_breaker_open_.inc();
-    flight_.record(FlightRecorder::Event::BreakerOpen, key,
-                   static_cast<std::uint32_t>(worker_index));
-    flight_.maybe_dump_on_breaker();
-  }
+void QueryEngine::complete(Event kind, const Who& who, std::size_t worker,
+                           double seconds,
+                           const std::shared_ptr<obs::QueryCost>& sink) {
+  latency_.record(seconds);
+  h_latency_.observe(seconds, who.trace_id);
+  note(kind, who, worker, 1, seconds);
+  // The burn-rate monitor judges every completion (cache hits included:
+  // under heavy dedup they are most of the traffic) against the rolling
+  // window; a breach transition dumps the recorder naming this query's
+  // trace and pins that trace past sampling.
+  if (slo_.record(seconds, kind == Event::Fail))
+    note(Event::SloBreach, who, worker);
+  // Close the query's cost ledger and publish it — before the caller
+  // fulfils the promise, so a client waking from .get() sees its sink
+  // filled.
+  who.cost->total_seconds = seconds;
+  cost_ledger_.record(*who.cost);
+  if (sink) *sink = *who.cost;
+}
+
+bool QueryEngine::note_device_error(WorkerCtx& ctx, Job& job,
+                                    const vgpu::DeviceError& e,
+                                    Clock::time_point t0) {
+  job.cost.waste_seconds += wall_since(t0);
+  ++job.cost.waste_events;
+  // An invariant breach is a device fault with extra meaning: the lane
+  // returned a *wrong answer*, not a loud error.
+  const bool integrity = dynamic_cast<const IntegrityError*>(&e) != nullptr;
+  if (integrity) note(Event::IntegrityViolation, job, ctx.index);
+  note(Event::Fault, job, ctx.index);
+  if (ctx.breaker.record_failure()) note(Event::BreakerOpen, job, ctx.index);
+  return integrity;
 }
 
 void QueryEngine::process_job(WorkerCtx& ctx, Rng& rng,
                               const std::shared_ptr<Job>& job) {
   const std::size_t worker_index = ctx.index;
-  CircuitBreaker& breaker = ctx.breaker;
   const Clock::time_point t0 = Clock::now();
 
   // The queue wait [submitted, popped] can overlap this worker's previous
@@ -487,7 +596,14 @@ void QueryEngine::process_job(WorkerCtx& ctx, Rng& rng,
 
   // Cancel before any work: an expired query is never executed.
   if (t0 >= job->deadline) {
-    finish_expired(worker_index, job);
+    note(Event::Expire, *job, worker_index);
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      inflight_.erase(job->key);
+    }
+    job->promise.set_exception(std::make_exception_ptr(DeadlineExceeded(
+        "QueryEngine: deadline expired before execution (query " + job->key +
+        ")")));
     return;
   }
 
@@ -508,11 +624,9 @@ void QueryEngine::process_job(WorkerCtx& ctx, Rng& rng,
   // the job to a healthier worker instead of black-holing it. A bounce is
   // not a ladder hand-off, so it doesn't consume a dispatch; the short
   // sleep stops a lone open worker spinning on its own requeue.
-  if (!breaker.allow()) {
+  if (!ctx.breaker.allow()) {
     if (queue_.try_push(job)) {
-      c_requeued_.inc();
-      flight_.record(FlightRecorder::Event::Requeue, job->key,
-                     static_cast<std::uint32_t>(worker_index));
+      note(Event::Requeue, *job, worker_index);
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
       return;
     }
@@ -532,8 +646,7 @@ void QueryEngine::process_job(WorkerCtx& ctx, Rng& rng,
     obs::Span span(*tracer_, "serve.execute", "serve", job->ctx);
     span.attr("key", job->key);
     span.attr("backend", ctx.be.caps().name);
-    flight_.record(FlightRecorder::Event::ExecuteBegin, job->key,
-                   static_cast<std::uint32_t>(worker_index));
+    note(Event::ExecuteBegin, *job, worker_index);
     int attempts = 0;
     outcome = run_ladder(ctx, rng, job, result, error, degraded, attempts);
     span.attr("attempts", std::to_string(attempts));
@@ -578,44 +691,9 @@ void QueryEngine::process_job(WorkerCtx& ctx, Rng& rng,
       const std::lock_guard<std::mutex> lock(mu_);
       inflight_.erase(job->key);
     }
-    c_executed_.inc();
-    if (!error) {
-      c_completed_.inc();
-      if (degraded) {
-        c_degraded_.inc();
-        flight_.record(FlightRecorder::Event::Degraded, job->key,
-                       static_cast<std::uint32_t>(worker_index));
-      }
-    } else {
-      c_failed_.inc();
-    }
-    const double seconds =
-        std::chrono::duration<double>(Clock::now() - job->submitted).count();
-    latency_.record(seconds);
-    h_latency_.observe(seconds, job->ctx.trace_id);
-    if (error) job->eventful = true;
-    flight_.record(error ? FlightRecorder::Event::Fail
-                         : FlightRecorder::Event::Complete,
-                   job->key, static_cast<std::uint32_t>(worker_index), seconds);
-    // SLO gates. The burn-rate monitor judges this completion against the
-    // rolling window; a breach *transition* dumps the flight recorder
-    // (naming this query's trace) and pins the trace past sampling. The
-    // older p99-threshold policy gate still runs independently.
-    if (slo_.record(seconds, error != nullptr)) {
-      c_slo_breached_.inc();
-      job->eventful = true;
-      flight_.dump_slo_monitor_breach(latency_.summary().p99,
-                                      obs::trace_id_hex(job->ctx.trace_id));
-    }
-    if (flight_.policy().p99_threshold_seconds > 0.0)
-      flight_.maybe_dump_slo_breach(latency_.summary().p99);
-    // Close the query's cost ledger and publish it — before the promise is
-    // fulfilled, so a client waking from .get() observes its sink filled.
-    job->cost.total_seconds = seconds;
-    job->cost.degraded = degraded;
-    job->cost.failed = error != nullptr;
-    cost_ledger_.record(job->cost);
-    if (job->cost_sink) *job->cost_sink = job->cost;
+    if (degraded) note(Event::Degraded, *job, worker_index);
+    complete(error ? Event::Fail : Event::Complete, *job, worker_index,
+             wall_since(job->submitted), job->cost_sink);
   }  // serve.execute recorded here, before any client can wake
   // Retroactive sampling: the query is finished and its spans are all
   // recorded, so this is the one moment the keep/drop decision can see
@@ -648,17 +726,6 @@ QueryEngine::Outcome QueryEngine::run_ladder(
   // final entry itemizes fault-tolerance overhead separately from the
   // productive phases execute()/run_sharded() fill.
   obs::QueryCost& qc = job->cost;
-  // An invariant breach is a device fault with extra meaning: the lane
-  // returned a *wrong answer*, not a loud error. Count it, flag the job so
-  // its eventual answer is audited unconditionally, and record the event.
-  const auto note_integrity = [&](const vgpu::DeviceError& e) {
-    if (dynamic_cast<const IntegrityError*>(&e) == nullptr) return false;
-    c_integrity_violations_.inc();
-    job->integrity_flagged = true;
-    flight_.record(FlightRecorder::Event::IntegrityViolation, job->key,
-                   static_cast<std::uint32_t>(worker_index));
-    return true;
-  };
   // The last rung-1 answer an invariant rejected, kept for the audit
   // escape below.
   std::optional<QueryResult> rejected;
@@ -679,9 +746,7 @@ QueryEngine::Outcome QueryEngine::run_ladder(
   // Rung 1: the planned execution, retried on transient device faults.
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
     if (Clock::now() >= job->deadline) {
-      c_expired_.inc();
-      flight_.record(FlightRecorder::Event::Expire, job->key,
-                     static_cast<std::uint32_t>(worker_index));
+      note(Event::Expire, *job, worker_index);
       error = std::make_exception_ptr(DeadlineExceeded(
           "QueryEngine: deadline expired mid-retry (query " + job->key + ")"));
       return Outcome::Fail;
@@ -701,14 +766,9 @@ QueryEngine::Outcome QueryEngine::run_ladder(
       error = nullptr;  // a successful retry supersedes earlier attempts
       return Outcome::Success;
     } catch (const vgpu::DeviceError& e) {
-      qc.waste_seconds += wall_since(a0);
-      ++qc.waste_events;
-      ++qc.retries;
       // Only verify_result throws IntegrityError here, after execute()
       // filled `result`.
-      if (note_integrity(e)) rejected = result;
-      note_fault(worker_index, breaker, job->key);
-      job->eventful = true;  // faulted queries keep their traces
+      if (note_device_error(ctx, *job, e, a0)) rejected = result;
       error = std::current_exception();
       device_msg = e.what();
       if (!e.transient()) break;  // a dead device won't heal under retry
@@ -722,9 +782,7 @@ QueryEngine::Outcome QueryEngine::run_ladder(
                                      .count();
         wait = std::min(wait, std::max(0.0, remaining));
       }
-      c_retries_.inc();
-      flight_.record(FlightRecorder::Event::Retry, job->key,
-                     static_cast<std::uint32_t>(worker_index));
+      note(Event::Retry, *job, worker_index);
       obs::Span backoff_span(*tracer_, "serve.retry_backoff", "serve");
       backoff_span.attr("key", job->key);
       backoff_span.attr("attempt", std::to_string(attempt + 1));
@@ -745,7 +803,6 @@ QueryEngine::Outcome QueryEngine::run_ladder(
   // degraded and is cacheable. The breaker deliberately records nothing:
   // the success happened elsewhere, and the device is still suspect.
   if (cfg_.backend_failover && ctx.be.caps().kind == backend::Kind::Vgpu) {
-    job->eventful = true;
     // Runs inside the serve.execute span's scope, so the implicit context
     // stack parents this on the execute span — the failover hop shows up
     // in the query's trace without explicit plumbing.
@@ -760,10 +817,7 @@ QueryEngine::Outcome QueryEngine::run_ladder(
                     "QueryEngine failover rung");
       failover_span.attr("to", failover_backend().caps().name);
       failover_span.attr("outcome", "ok");
-      c_failovers_.inc();
-      qc.failover = true;
-      flight_.record(FlightRecorder::Event::Failover, job->key,
-                     static_cast<std::uint32_t>(worker_index));
+      note(Event::Failover, *job, worker_index);
       error = nullptr;
       return Outcome::Success;
     } catch (...) {
@@ -787,15 +841,10 @@ QueryEngine::Outcome QueryEngine::run_ladder(
                     "QueryEngine degraded rung");
       breaker.record_success();
       degraded = true;
-      job->eventful = true;
       error = nullptr;
       return Outcome::Success;
     } catch (const vgpu::DeviceError& e) {
-      qc.waste_seconds += wall_since(d0);
-      ++qc.waste_events;
-      note_integrity(e);
-      note_fault(worker_index, breaker, job->key);
-      job->eventful = true;
+      note_device_error(ctx, *job, e, d0);
       error = std::current_exception();
       device_msg = e.what();
     } catch (...) {
@@ -825,10 +874,7 @@ QueryEngine::Outcome QueryEngine::run_ladder(
     ++job->dispatches;
     job->last_worker = worker_index;
     if (queue_.try_push(job)) {
-      c_requeued_.inc();
-      job->eventful = true;
-      flight_.record(FlightRecorder::Event::Requeue, job->key,
-                     static_cast<std::uint32_t>(worker_index));
+      note(Event::Requeue, *job, worker_index);
       return Outcome::Requeue;
     }
   }
@@ -858,7 +904,7 @@ bool QueryEngine::run_sharded(WorkerCtx& ctx,
                               const std::shared_ptr<Job>& job,
                               QueryResult& result, std::exception_ptr& error,
                               obs::QueryCost& qc) {
-  c_shard_queries_.inc();
+  note(Event::ShardQuery, *job, ctx.index);
 
   // Every device plus every CPU slot is a lane; lane index is stable
   // across runs (devices first, CPU slots after), which is what makes the
@@ -890,11 +936,8 @@ bool QueryEngine::run_sharded(WorkerCtx& ctx,
     shard::Report rep = ex.run(
         lanes, *job->pts, job->problem.desc, sopt,
         [&](std::size_t lane, std::size_t tiles) {
-          c_shard_lanes_lost_.inc();
-          c_shard_tiles_failed_over_.inc(tiles);
-          job->eventful = true;
-          flight_.record(FlightRecorder::Event::ShardFailover, job->key,
-                         static_cast<std::uint32_t>(lane));
+          note(Event::ShardFailover, *job, lane);
+          note(Event::ShardTilesFailedOver, *job, lane, tiles);
           // Instantaneous marker span: the hook fires at reroute time, on
           // this worker thread, under the execute span's context.
           const auto now = obs::Tracer::Clock::now();
@@ -905,20 +948,13 @@ bool QueryEngine::run_sharded(WorkerCtx& ctx,
                                 {"tiles", std::to_string(tiles)}},
                                tracer_->track_tid("shard"));
         });
-    c_shard_tiles_.inc(rep.tiles_total);
-    c_shard_tiles_hedged_.inc(rep.tiles_hedged);
-    c_shard_hedge_wins_.inc(rep.hedge_wins);
-    if (rep.tiles_hedged > 0) job->eventful = true;
-    if (rep.integrity_violations > 0) {
-      // Tile invariant breaches the executor already recovered from (the
-      // corrupt lane died, its tiles re-ran elsewhere). Count them and flag
-      // the job so the merged answer is audited unconditionally.
-      c_integrity_violations_.inc(rep.integrity_violations);
-      job->integrity_flagged = true;
-      job->eventful = true;
-      flight_.record(FlightRecorder::Event::IntegrityViolation, job->key,
-                     static_cast<std::uint32_t>(ctx.index));
-    }
+    note(Event::ShardTiles, *job, ctx.index, rep.tiles_total);
+    note(Event::ShardHedge, *job, ctx.index, rep.tiles_hedged);
+    note(Event::HedgeWin, *job, ctx.index, rep.hedge_wins);
+    // Tile invariant breaches the executor already recovered from (the
+    // corrupt lane died, its tiles re-ran elsewhere): the note flags the
+    // job, so the merged answer is audited unconditionally.
+    note(Event::IntegrityViolation, *job, ctx.index, rep.integrity_violations);
     // Cost attribution. The launch phase for a sharded query is the sum of
     // tile resource-seconds (tiles run in parallel; resource-seconds, not
     // wall, is what the per-tile rows must balance against), so Σ tiles ==
@@ -933,8 +969,6 @@ bool QueryEngine::run_sharded(WorkerCtx& ctx,
     qc.phase(obs::CostPhase::Merge).seconds += rep.merge_seconds;
     qc.waste_seconds += rep.waste_seconds;
     qc.waste_events += rep.waste_events;
-    qc.lanes_lost += rep.lanes_lost;
-    qc.tiles_failed_over += rep.tiles_failed_over;
     qc.measured_seconds = rep.kernel_seconds;  // the parallel makespan
     qc.tiles.reserve(qc.tiles.size() + rep.spans.size());
     for (const shard::TileSpan& ts : rep.spans) {
@@ -990,16 +1024,7 @@ bool QueryEngine::run_sharded(WorkerCtx& ctx,
     // fault against this worker's breaker like any other device error and
     // let the caller fall through to the unsharded ladder; everything the
     // dead fan-out burned is waste.
-    qc.waste_seconds += wall_since(s0);
-    ++qc.waste_events;
-    if (dynamic_cast<const IntegrityError*>(&e) != nullptr) {
-      c_integrity_violations_.inc();
-      job->integrity_flagged = true;
-      flight_.record(FlightRecorder::Event::IntegrityViolation, job->key,
-                     static_cast<std::uint32_t>(ctx.index));
-    }
-    note_fault(ctx.index, ctx.breaker, job->key);
-    job->eventful = true;
+    note_device_error(ctx, *job, e, s0);
     error = std::current_exception();
     return false;
   } catch (...) {
@@ -1078,26 +1103,26 @@ bool QueryEngine::maybe_audit(WorkerCtx& ctx,
   }
   if (!sampled) return false;
 
-  c_audits_.inc();
+  const Clock::time_point a0 = Clock::now();
   obs::Span span(*tracer_, "serve.audit", "serve");
   span.attr("key", job->key);
   // Staged-buffer verification: the canonical checksum taken at submit must
   // still describe the bytes we are about to re-run.
   const bool input_ok = points_checksum(*job->pts) == job->input_checksum;
-  QueryResult reference;
+  std::optional<QueryResult> reference;
   try {
     const std::lock_guard<std::mutex> lock(failover_mu_);
-    obs::QueryCost audit_cost;  // the reference run is not the query's cost
-    reference =
-        execute(failover_backend(), *job, audit_cost, /*degraded=*/true);
+    obs::QueryCost scratch;  // the reference run is the audit phase's cost
+    reference = execute(failover_backend(), *job, scratch, /*degraded=*/true);
   } catch (...) {
     // The reference lane itself failed; there is nothing to compare
     // against, so the primary answer stands.
-    span.attr("outcome", "reference_failed");
-    return false;
   }
-  if (input_ok && results_bit_identical(result, reference)) {
-    span.attr("outcome", "ok");
+  const bool agree =
+      reference && input_ok && results_bit_identical(result, *reference);
+  note(Event::Audit, *job, ctx.index, 1, wall_since(a0));
+  if (!reference || agree) {
+    span.attr("outcome", reference ? "ok" : "reference_failed");
     return false;
   }
 
@@ -1106,22 +1131,12 @@ bool QueryEngine::maybe_audit(WorkerCtx& ctx,
   // worker, purge everything its backend put in the cache, and deliver the
   // independently computed answer instead.
   span.attr("outcome", input_ok ? "mismatch" : "input_corrupt");
-  c_audit_mismatches_.inc();
-  job->eventful = true;
-  job->integrity_flagged = true;
-  flight_.record(FlightRecorder::Event::IntegrityViolation, job->key,
-                 static_cast<std::uint32_t>(ctx.index));
-  if (ctx.breaker.trip()) {
-    c_breaker_open_.inc();
-    flight_.record(FlightRecorder::Event::BreakerOpen, job->key,
-                   static_cast<std::uint32_t>(ctx.index));
-    flight_.maybe_dump_on_breaker();
-  }
-  c_quarantines_.inc();
-  const std::size_t purged =
-      cache_.invalidate_by_provenance(job->cost.backend);
-  c_cache_invalidated_.inc(purged);
-  result = std::move(reference);
+  note(Event::AuditMismatch, *job, ctx.index);
+  if (ctx.breaker.trip()) note(Event::BreakerOpen, *job, ctx.index);
+  note(Event::Quarantine, *job, ctx.index);
+  note(Event::CacheInvalidated, *job, ctx.index,
+       cache_.invalidate_by_provenance(job->cost.backend));
+  result = *std::move(reference);
   return true;
 }
 
@@ -1137,33 +1152,9 @@ backend::CpuBackend& QueryEngine::failover_backend() {
 
 EngineStats QueryEngine::stats() const {
   EngineStats out;
-  out.counters.submitted = c_submitted_.value();
-  out.counters.rejected = c_rejected_.value();
-  out.counters.coalesced = c_coalesced_.value();
-  out.counters.cache_hits = c_cache_hits_.value();
-  out.counters.executed = c_executed_.value();
-  out.counters.completed = c_completed_.value();
-  out.counters.failed = c_failed_.value();
-  out.counters.faults = c_faults_.value();
-  out.counters.retries = c_retries_.value();
-  out.counters.breaker_opens = c_breaker_open_.value();
-  out.counters.degraded = c_degraded_.value();
-  out.counters.failovers = c_failovers_.value();
-  out.counters.expired = c_expired_.value();
-  out.counters.requeued = c_requeued_.value();
-  out.counters.abandoned = c_abandoned_.value();
-  out.counters.shard_queries = c_shard_queries_.value();
-  out.counters.shard_tiles = c_shard_tiles_.value();
-  out.counters.shard_lanes_lost = c_shard_lanes_lost_.value();
-  out.counters.shard_tiles_failed_over = c_shard_tiles_failed_over_.value();
-  out.counters.shard_tiles_hedged = c_shard_tiles_hedged_.value();
-  out.counters.shard_hedge_wins = c_shard_hedge_wins_.value();
-  out.counters.rejected_invalid = c_rejected_invalid_.value();
-  out.counters.integrity_violations = c_integrity_violations_.value();
-  out.counters.audits = c_audits_.value();
-  out.counters.audit_mismatches = c_audit_mismatches_.value();
-  out.counters.quarantines = c_quarantines_.value();
-  out.counters.cache_invalidated = c_cache_invalidated_.value();
+  for (std::size_t i = 0; i < std::size(kCounters); ++i)
+    if (kCounters[i].field != nullptr)
+      out.counters.*kCounters[i].field = counters_[i]->value();
   out.latency = latency_.summary();
   out.elapsed_seconds =
       std::chrono::duration<double>(Clock::now() - epoch_).count();
@@ -1267,7 +1258,7 @@ void QueryEngine::refresh_gauges(const EngineStats& s) const {
 
 bool QueryEngine::dump_flight(const std::string& path) const {
   return flight_.dump(path, "manual", latency_.summary().p99,
-                      flight_.policy().p99_threshold_seconds);
+                      cfg_.slo.latency_seconds);
 }
 
 std::string QueryEngine::metrics_json() const {

@@ -56,6 +56,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -152,11 +153,12 @@ class QueryEngine {
     /// keeps everything.
     std::size_t trace_sample_keep = 1;
     std::size_t trace_sample_of = 1;
-    /// Rolling-window latency/error objectives (obs::SloMonitor);
-    /// latency_seconds <= 0 leaves the monitor disabled. A breach
-    /// transition bumps `serve.slo.*`, dumps the flight recorder (reason
-    /// "slo_breach", naming the breaching query's trace id), and
-    /// force-retains that query's trace regardless of sampling.
+    /// Rolling-window latency/error objectives (obs::SloMonitor), the
+    /// engine's only breach gate; latency_seconds <= 0 leaves the monitor
+    /// disabled. A breach transition bumps `serve.slo.breached`, dumps the
+    /// flight recorder (reason "slo_breach", naming the breaching query's
+    /// trace id and latency_seconds as the threshold), and force-retains
+    /// that query's trace regardless of sampling.
     obs::SloMonitor::Objective slo{};
     /// Periodic ops export (JSONL feed + Prometheus exposition); enabled
     /// when either path is set. The bus starts with the workers and emits
@@ -165,8 +167,8 @@ class QueryEngine {
     /// Flight-recorder ring size (rounded up to a power of two; 0 disables
     /// event recording entirely).
     std::size_t flight_capacity = 1024;
-    /// When and where the recorder dumps on its own (p99 SLO breach /
-    /// shed / breaker trip). Disabled by default — see
+    /// Where the recorder's automatic dumps go, their window, and whether
+    /// sheds and breaker trips dump too (off by default) — see
     /// FlightRecorder::SloPolicy.
     FlightRecorder::SloPolicy flight{};
     /// Retry schedule for transient device faults (attempts per dispatch,
@@ -297,8 +299,8 @@ class QueryEngine {
     return flight_;
   }
 
-  /// Dump the flight recorder to `path` (reason "manual", current p99
-  /// attached). False if the file won't open.
+  /// Dump the flight recorder to `path` (reason "manual", current p99 and
+  /// the SLO latency objective attached). False if the file won't open.
   bool dump_flight(const std::string& path) const;
 
   /// Partition-aware routing state for the sharded path (tests assert
@@ -361,9 +363,6 @@ class QueryEngine {
     obs::TraceContext ctx{};
     /// Submission sequence number — the deterministic sampling coordinate.
     std::uint64_t seq = 0;
-    /// Dataset fingerprint (the cache key's data half) — the cost ledger's
-    /// per-dataset rollup coordinate.
-    std::uint64_t dataset_fp = 0;
     /// Running cost attribution for this job. Lives on the job (not the
     /// dispatch stack) so waste burned by a dispatch that ends in Requeue
     /// still reaches the final ledger entry. Only touched by the worker
@@ -372,9 +371,9 @@ class QueryEngine {
     /// Client-provided sink (SubmitOptions::cost); filled before the
     /// promise is fulfilled.
     std::shared_ptr<obs::QueryCost> cost_sink;
-    /// Something noteworthy happened (fault, retry, failover, degraded,
-    /// error, SLO breach): the trace is exempt from sampling. Only touched
-    /// by the worker currently running the job.
+    /// An eventful kind was noted for this job (see the event table in
+    /// engine.cpp): the trace is exempt from sampling. Only touched by the
+    /// worker currently running the job.
     bool eventful = false;
     /// Canonical checksum of the submitted coordinates (computed when a
     /// submission becomes a job, from the caller's bytes). The audit layer
@@ -435,14 +434,43 @@ class QueryEngine {
                      QueryResult& result, std::exception_ptr& error,
                      bool& degraded, int& attempts);
 
-  /// Record a device fault against worker/breaker state (fault counter,
-  /// flight event, breaker bookkeeping + trip dump).
-  void note_fault(std::size_t worker_index, CircuitBreaker& breaker,
-                  const std::string& key);
+  /// Who an engine event is about: on the worker path the job (key, trace,
+  /// flags, cost ledger); on the submit path, before any job exists, the
+  /// key, the root trace, the serve.submit span and the submission's ledger.
+  struct Who {
+    Who() = default;
+    Who(Job& j)  // implicit: every worker-path call site passes *job
+        : key(j.key), trace_id(j.ctx.trace_id), job(&j), cost(&j.cost) {}
+    Who(std::string_view k, std::uint64_t trace, obs::Span& submit,
+        obs::QueryCost& qc)
+        : key(k), trace_id(trace), span(&submit), cost(&qc) {}
+    std::string_view key;
+    std::uint64_t trace_id = 0;
+    Job* job = nullptr;
+    obs::Span* span = nullptr;
+    obs::QueryCost* cost = nullptr;
+  };
 
-  /// Cancel an expired job: Expire event, `serve.expired`, and a
-  /// DeadlineExceeded delivered through the future.
-  void finish_expired(std::size_t worker_index, const std::shared_ptr<Job>& job);
+  /// The engine's one event call: `kind`'s row in the event table
+  /// (engine.cpp) decides the counters that get `n`, the ring entries (one
+  /// per unit), the eventful flag, the cost-ledger field (`seconds` for a
+  /// phase), the submit span's outcome and the dump. n == 0 is a no-op.
+  void note(FlightRecorder::Event kind, const Who& who, std::size_t worker = 0,
+            std::uint64_t n = 1, double seconds = 0.0);
+
+  /// The one completion, for cache hits and workers alike: latency
+  /// reservoir, histogram exemplar, the `kind` event (CacheHit / Complete /
+  /// Fail), the SloMonitor (a breach notes SloBreach), ledger and sink.
+  void complete(FlightRecorder::Event kind, const Who& who,
+                std::size_t worker, double seconds,
+                const std::shared_ptr<obs::QueryCost>& sink);
+
+  /// A launch on this worker threw `e`: charge the attempt since `t0` to
+  /// waste, note the Fault (after an IntegrityViolation for an
+  /// IntegrityError, which the return value reports) and feed the
+  /// worker's breaker, noting BreakerOpen when it trips.
+  bool note_device_error(WorkerCtx& ctx, Job& job, const vgpu::DeviceError& e,
+                         Clock::time_point t0);
 
   /// Run one query of any type through a backend handle: core::choose
   /// picks the registry variant (the query's default, planned above the
@@ -507,39 +535,13 @@ class QueryEngine {
   obs::Tracer* tracer_;  ///< never null (Config::tracer or the global)
   mutable FlightRecorder flight_;
 
-  /// Per-engine registry; declared before the instrument references below
+  /// Per-engine registry; declared before the instrument pointers below
   /// and before slots_ (device launch observers touch the counters, and
   /// members destroy in reverse order).
   mutable obs::MetricsRegistry metrics_;
-  obs::Counter& c_submitted_;
-  obs::Counter& c_rejected_;
-  obs::Counter& c_coalesced_;
-  obs::Counter& c_cache_hits_;
-  obs::Counter& c_executed_;
-  obs::Counter& c_completed_;
-  obs::Counter& c_failed_;
-  obs::Counter& c_launches_;
-  obs::Counter& c_faults_;
-  obs::Counter& c_retries_;
-  obs::Counter& c_breaker_open_;
-  obs::Counter& c_degraded_;
-  obs::Counter& c_failovers_;
-  obs::Counter& c_expired_;
-  obs::Counter& c_requeued_;
-  obs::Counter& c_abandoned_;
-  obs::Counter& c_shard_queries_;
-  obs::Counter& c_shard_tiles_;
-  obs::Counter& c_shard_lanes_lost_;
-  obs::Counter& c_shard_tiles_failed_over_;
-  obs::Counter& c_shard_tiles_hedged_;
-  obs::Counter& c_shard_hedge_wins_;
-  obs::Counter& c_slo_breached_;
-  obs::Counter& c_rejected_invalid_;
-  obs::Counter& c_integrity_violations_;
-  obs::Counter& c_audits_;
-  obs::Counter& c_audit_mismatches_;
-  obs::Counter& c_quarantines_;
-  obs::Counter& c_cache_invalidated_;
+  /// Every `serve.*` counter an event bumps, resolved once at construction
+  /// and indexed by the counter table in engine.cpp.
+  std::vector<obs::Counter*> counters_;
   obs::FixedHistogram& h_latency_;
   /// Per-worker in-flight gauges (`serve.worker.<i>.inflight`), resolved
   /// once at construction so the worker loop pays one relaxed store per

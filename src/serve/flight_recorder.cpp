@@ -2,9 +2,11 @@
 
 #include <cmath>
 #include <fstream>
+#include <iterator>
 #include <limits>
 
 #include "obs/json.hpp"
+#include "obs/trace.hpp"
 
 namespace tbs::serve {
 
@@ -20,27 +22,18 @@ std::size_t round_up_pow2(std::size_t n) {
 }  // namespace
 
 const char* FlightRecorder::to_string(Event e) {
-  switch (e) {
-    case Event::Submit: return "submit";
-    case Event::CacheHit: return "cache_hit";
-    case Event::Coalesce: return "coalesce";
-    case Event::Enqueue: return "enqueue";
-    case Event::Shed: return "shed";
-    case Event::ExecuteBegin: return "execute_begin";
-    case Event::Complete: return "complete";
-    case Event::Fail: return "fail";
-    case Event::Fault: return "fault";
-    case Event::Retry: return "retry";
-    case Event::BreakerOpen: return "breaker_open";
-    case Event::Degraded: return "degraded";
-    case Event::Expire: return "expire";
-    case Event::Requeue: return "requeue";
-    case Event::Abandon: return "abandon";
-    case Event::Failover: return "failover";
-    case Event::ShardFailover: return "shard_failover";
-    case Event::IntegrityViolation: return "integrity_violation";
-  }
-  return "unknown";
+  // Indexed by Event, so the names stay in the enum's order.
+  static constexpr const char* kNames[] = {
+      "submit", "cache_hit", "coalesce", "enqueue", "shed", "execute_begin",
+      "complete", "fail", "fault", "retry", "breaker_open", "degraded",
+      "expire", "requeue", "abandon", "failover", "shard_failover",
+      "integrity_violation", "audit_mismatch", "audit", "quarantine",
+      "cache_invalidated", "shard_query", "shard_tiles",
+      "shard_tiles_failed_over", "shard_hedge", "hedge_win", "slo_breach",
+      "reject_invalid"};
+  static_assert(std::size(kNames) == kEvents, "one name per event kind");
+  const auto i = static_cast<std::size_t>(e);
+  return i < kEvents ? kNames[i] : "unknown";
 }
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
@@ -60,7 +53,8 @@ std::int64_t FlightRecorder::now_us() const {
 }
 
 void FlightRecorder::record(Event event, std::string_view key,
-                            std::uint32_t worker, double latency_seconds) {
+                            std::uint32_t worker, double latency_seconds,
+                            std::uint64_t trace_id) {
   if (slots_.empty()) return;
   const std::uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);
   Slot& s = slots_[ticket & mask_];
@@ -74,6 +68,7 @@ void FlightRecorder::record(Event event, std::string_view key,
   s.event.store(static_cast<std::uint8_t>(event), std::memory_order_relaxed);
   s.worker.store(worker, std::memory_order_relaxed);
   s.latency.store(latency_seconds, std::memory_order_relaxed);
+  s.trace_id.store(trace_id, std::memory_order_relaxed);
   const std::size_t len = key.size() < kKeyBytes ? key.size() : kKeyBytes;
   for (std::size_t i = 0; i < len; ++i)
     s.key[i].store(key[i], std::memory_order_relaxed);
@@ -101,6 +96,7 @@ std::vector<FlightRecorder::Record> FlightRecorder::snapshot() const {
     r.event = static_cast<Event>(s.event.load(std::memory_order_relaxed));
     r.worker = s.worker.load(std::memory_order_relaxed);
     r.latency_seconds = s.latency.load(std::memory_order_relaxed);
+    r.trace_id = s.trace_id.load(std::memory_order_relaxed);
     char buf[kKeyBytes];
     for (std::size_t i = 0; i < kKeyBytes; ++i)
       buf[i] = s.key[i].load(std::memory_order_relaxed);
@@ -127,12 +123,12 @@ std::uint64_t FlightRecorder::dropped() const {
 std::string FlightRecorder::to_json(std::string_view reason,
                                     double p99_seconds,
                                     double threshold_seconds,
-                                    std::string_view trace_id) const {
+                                    std::uint64_t trace_id) const {
   const std::vector<Record> events = snapshot();
   std::string out = "{\n  \"schema\": \"tbs.flight_recorder.v1\",\n";
   out += "  \"reason\": \"" + obs::json::escape(reason) + "\",\n";
-  if (!trace_id.empty())
-    out += "  \"trace_id\": \"" + obs::json::escape(trace_id) + "\",\n";
+  if (trace_id != 0)
+    out += "  \"trace_id\": \"" + obs::trace_id_hex(trace_id) + "\",\n";
   out += "  \"p99_seconds\": " + obs::json::finite_number(p99_seconds) + ",\n";
   out += "  \"threshold_seconds\": " +
          obs::json::finite_number(threshold_seconds) + ",\n";
@@ -147,6 +143,7 @@ std::string FlightRecorder::to_json(std::string_view reason,
     out += ", \"t_us\": " + obs::json::finite_number(r.t_us);
     out += ", \"event\": \"";
     out += to_string(r.event);
+    out += "\", \"trace_id\": \"" + obs::trace_id_hex(r.trace_id);
     out += "\", \"key\": \"" + obs::json::escape(r.key) + "\"";
     out += ", \"worker\": " + std::to_string(r.worker);
     if (r.event == Event::Complete || r.event == Event::Fail)
@@ -161,14 +158,21 @@ std::string FlightRecorder::to_json(std::string_view reason,
 
 bool FlightRecorder::dump(const std::string& path, std::string_view reason,
                           double p99_seconds, double threshold_seconds,
-                          std::string_view trace_id) const {
+                          std::uint64_t trace_id) const {
   std::ofstream os(path);
   if (!os) return false;
   os << to_json(reason, p99_seconds, threshold_seconds, trace_id);
   return static_cast<bool>(os);
 }
 
-bool FlightRecorder::acquire_dump_slot() {
+bool FlightRecorder::maybe_dump(Event cause, double threshold_seconds,
+                                std::uint64_t trace_id,
+                                const std::function<double()>& p99) {
+  const bool armed = cause == Event::SloBreach ||
+                     (cause == Event::Shed && policy_.dump_on_shed) ||
+                     (cause == Event::BreakerOpen && policy_.dump_on_breaker);
+  if (!armed) return false;
+  // One automatic dump per window: CAS the last-dump stamp forward.
   const std::int64_t now = now_us();
   const auto window =
       static_cast<std::int64_t>(std::llround(policy_.window_seconds * 1e6));
@@ -177,43 +181,10 @@ bool FlightRecorder::acquire_dump_slot() {
     if (now - last < window) return false;
   } while (!last_dump_us_.compare_exchange_weak(
       last, now, std::memory_order_acq_rel, std::memory_order_relaxed));
-  return true;
-}
-
-bool FlightRecorder::maybe_dump_slo_breach(double p99_seconds) {
-  if (policy_.p99_threshold_seconds <= 0.0) return false;
-  if (!(p99_seconds > policy_.p99_threshold_seconds)) return false;
-  if (!acquire_dump_slot()) return false;
   auto_dumps_.fetch_add(1, std::memory_order_relaxed);
   if (!policy_.dump_path.empty())
-    dump(policy_.dump_path, "slo_breach", p99_seconds,
-         policy_.p99_threshold_seconds);
-  return true;
-}
-
-bool FlightRecorder::dump_slo_monitor_breach(double p99_seconds,
-                                             std::string_view trace_id) {
-  if (!acquire_dump_slot()) return false;
-  auto_dumps_.fetch_add(1, std::memory_order_relaxed);
-  if (!policy_.dump_path.empty())
-    dump(policy_.dump_path, "slo_breach", p99_seconds,
-         policy_.p99_threshold_seconds, trace_id);
-  return true;
-}
-
-bool FlightRecorder::maybe_dump_on_shed() {
-  if (!policy_.dump_on_shed) return false;
-  if (!acquire_dump_slot()) return false;
-  auto_dumps_.fetch_add(1, std::memory_order_relaxed);
-  if (!policy_.dump_path.empty()) dump(policy_.dump_path, "shed");
-  return true;
-}
-
-bool FlightRecorder::maybe_dump_on_breaker() {
-  if (!policy_.dump_on_breaker) return false;
-  if (!acquire_dump_slot()) return false;
-  auto_dumps_.fetch_add(1, std::memory_order_relaxed);
-  if (!policy_.dump_path.empty()) dump(policy_.dump_path, "breaker_open");
+    dump(policy_.dump_path, to_string(cause), p99 ? p99() : 0.0,
+         threshold_seconds, trace_id);
   return true;
 }
 

@@ -4,11 +4,13 @@
 // coalesce? miss the cache? which worker ran it, after what?) is gone by
 // the time anyone looks. The flight recorder keeps the last N per-query
 // events — submit / cache-hit / coalesce / enqueue / shed / execute /
-// complete, each with a microsecond timestamp, the query's plan key, and
-// the worker index — and dumps them as structured JSON when something goes
-// wrong: the engine's p99 crosses a configured SLO threshold, admission
-// control sheds a query, or a human calls dump(). "Why was this query
-// slow" becomes answerable after the fact.
+// complete and the failure, integrity and shard events, each with a
+// microsecond timestamp, the query's trace id and plan key, and the worker
+// index — and dumps them as structured JSON when something goes wrong: the
+// engine's SloMonitor reports a breach, admission control sheds a query, a
+// breaker trips, or a human calls dump(). "Why was this query slow"
+// becomes answerable after the fact, and the trace id joins each event to
+// the query's spans and cost-ledger entry.
 //
 // Concurrency design (the recorder sits on the submit fast path and in
 // every worker, so it must never serialize them):
@@ -31,6 +33,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,7 +43,11 @@ namespace tbs::serve {
 class FlightRecorder {
  public:
   /// Event kinds mirror the engine's submit/execute outcomes, plus the
-  /// failure path (faults, retries, breaker trips, degradation).
+  /// failure path (faults, retries, breaker trips, degradation), the
+  /// integrity layer and the sharded path. The engine's event table
+  /// (serve/engine.cpp) says which counters, ring entries, trace-retention
+  /// flag and cost-ledger field each kind feeds; some kinds are counted
+  /// but never written to the ring. to_string() names follow this order.
   enum class Event : std::uint8_t {
     Submit = 0,    ///< a client entered submit/try_submit
     CacheHit,      ///< served from the result cache
@@ -59,8 +66,21 @@ class FlightRecorder {
     Abandon,       ///< shut down with the query still queued
     Failover,      ///< served by the cross-backend failover rung
     ShardFailover, ///< a sharded query lost a lane; its tiles rerouted
-    IntegrityViolation,  ///< invariant breach or audit mismatch detected
+    IntegrityViolation,  ///< an algebraic invariant rejected an answer
+    AuditMismatch,       ///< an audit's reference answer disagreed
+    Audit,               ///< an answer was re-executed on the CPU reference
+    Quarantine,          ///< an audit mismatch quarantined the worker
+    CacheInvalidated,    ///< cache entries purged by a quarantine
+    ShardQuery,          ///< the query fanned out over the shard path
+    ShardTiles,          ///< tiles a sharded query executed
+    ShardTilesFailedOver,  ///< tiles rerouted off a lost lane
+    ShardHedge,          ///< straggler tiles hedged onto a spare lane
+    HedgeWin,            ///< hedges that beat their primary
+    SloBreach,           ///< the SloMonitor's window went into breach
+    RejectInvalid,       ///< input validation refused the submission
   };
+  static constexpr std::size_t kEvents =
+      static_cast<std::size_t>(Event::RejectInvalid) + 1;
   static const char* to_string(Event e);
 
   /// Query keys are truncated to this many bytes in the ring (the key
@@ -73,14 +93,16 @@ class FlightRecorder {
     double t_us = 0.0;             ///< microseconds since recorder epoch
     Event event = Event::Submit;
     std::uint32_t worker = 0;      ///< worker index for execute/complete
-    double latency_seconds = 0.0;  ///< submit-to-completion, Complete only
+    /// Submit-to-completion for completions; the audit's seconds for Audit.
+    double latency_seconds = 0.0;
+    std::uint64_t trace_id = 0;    ///< the query's trace (0 = none)
     std::string key;               ///< (truncated) query/plan key
   };
 
-  /// When and where the recorder dumps on its own.
+  /// When and where the recorder dumps on its own. An SLO breach (judged
+  /// by the engine's obs::SloMonitor) always dumps; sheds and breaker trips
+  /// dump only when enabled here.
   struct SloPolicy {
-    /// Dump when the engine's p99 crosses this threshold; 0 disables.
-    double p99_threshold_seconds = 0.0;
     /// Minimum spacing between automatic dumps — one dump per breach
     /// window, not one per breaching query.
     double window_seconds = 5.0;
@@ -108,11 +130,10 @@ class FlightRecorder {
 
   [[nodiscard]] bool enabled() const { return !slots_.empty(); }
   [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
-  [[nodiscard]] const SloPolicy& policy() const { return policy_; }
 
   /// Record one event (wait-free: one fetch_add + relaxed slot stores).
   void record(Event event, std::string_view key, std::uint32_t worker = 0,
-              double latency_seconds = 0.0);
+              double latency_seconds = 0.0, std::uint64_t trace_id = 0);
 
   /// Consistent events currently in the ring, oldest first. Slots being
   /// overwritten during the scan are skipped, never blocked on.
@@ -124,40 +145,31 @@ class FlightRecorder {
 
   /// The dump document: {"schema", "reason", "p99_seconds",
   /// "threshold_seconds", "total_recorded", "dropped", "capacity",
-  /// "events": [...]}. A non-empty `trace_id` (the hex id of the query
-  /// that triggered the dump) is included as a top-level field, so the
-  /// dump names the trace to open in the exported Chrome trace.
+  /// "events": [...]}; every event carries its query's "trace_id" (16 hex
+  /// digits). A nonzero `trace_id` (the query that triggered the dump) is
+  /// included as a top-level field, so the dump names the trace to open in
+  /// the exported Chrome trace.
   [[nodiscard]] std::string to_json(std::string_view reason,
                                     double p99_seconds = 0.0,
                                     double threshold_seconds = 0.0,
-                                    std::string_view trace_id = {}) const;
+                                    std::uint64_t trace_id = 0) const;
 
   /// Write to_json() to `path`; false if the file won't open.
   bool dump(const std::string& path, std::string_view reason = "manual",
             double p99_seconds = 0.0, double threshold_seconds = 0.0,
-            std::string_view trace_id = {}) const;
+            std::uint64_t trace_id = 0) const;
 
-  /// SLO gate: when the policy enables it, `p99_seconds` breaches the
-  /// threshold, and no automatic dump happened within the window, dump
-  /// once and return true. Concurrent callers race on one CAS — exactly
-  /// one wins per window.
-  bool maybe_dump_slo_breach(double p99_seconds);
+  /// The one automatic dump, reason to_string(cause). SloBreach always
+  /// dumps (the engine's SloMonitor already judged the breach); Shed needs
+  /// `dump_on_shed` and BreakerOpen `dump_on_breaker`; other kinds never
+  /// dump. One dump per window whatever the cause: concurrent callers race
+  /// on one CAS and exactly one wins. Only the winner evaluates `p99`.
+  /// Returns true when this call took the dump.
+  bool maybe_dump(Event cause, double threshold_seconds = 0.0,
+                  std::uint64_t trace_id = 0,
+                  const std::function<double()>& p99 = {});
 
-  /// Burn-rate gate: the engine's SloMonitor already decided this is a
-  /// breach transition, so no threshold check here — just the per-window
-  /// limiter. The dump (reason "slo_breach") names the breaching query's
-  /// trace id. Returns true when a dump was taken.
-  bool dump_slo_monitor_breach(double p99_seconds, std::string_view trace_id);
-
-  /// Shed gate: when the policy enables it, dump (same window limiter,
-  /// reason "shed") and return true.
-  bool maybe_dump_on_shed();
-
-  /// Breaker gate: when the policy enables it, dump (same window limiter,
-  /// reason "breaker_open") and return true.
-  bool maybe_dump_on_breaker();
-
-  /// Automatic dumps so far (SLO breaches + sheds that actually dumped).
+  /// Automatic dumps so far (every maybe_dump() that dumped).
   [[nodiscard]] std::uint64_t auto_dumps() const {
     return auto_dumps_.load(std::memory_order_relaxed);
   }
@@ -171,12 +183,11 @@ class FlightRecorder {
     std::atomic<std::uint8_t> event{0};
     std::atomic<std::uint32_t> worker{0};
     std::atomic<double> latency{0.0};
+    std::atomic<std::uint64_t> trace_id{0};
     std::array<std::atomic<char>, kKeyBytes> key{};
   };
 
   [[nodiscard]] std::int64_t now_us() const;
-  /// One automatic dump per window: CAS the last-dump stamp forward.
-  bool acquire_dump_slot();
 
   SloPolicy policy_;
   Clock::time_point epoch_;

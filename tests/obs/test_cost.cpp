@@ -53,6 +53,7 @@ TEST(CostPhaseNames, CoverEveryPhase) {
   EXPECT_EQ(to_string(CostPhase::Launch), "launch");
   EXPECT_EQ(to_string(CostPhase::Merge), "merge");
   EXPECT_EQ(to_string(CostPhase::CacheFill), "cache_fill");
+  EXPECT_EQ(to_string(CostPhase::Audit), "audit");
 }
 
 TEST(QueryCost, AttributedSecondsSumsPhasesAndWaste) {

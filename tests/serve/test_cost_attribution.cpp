@@ -137,6 +137,54 @@ TEST(CostAttribution, TransientFaultsLandInWasteNotInPhases) {
   EXPECT_GT(engine.cost_ledger().total().waste_seconds, 0.0);
 }
 
+// A dead device faults once, non-transiently: nothing is retried, so the
+// ledger's retries stay 0 (agreeing with serve.retries) although the
+// attempt faulted and the failover rung answered.
+TEST(CostAttribution, DeadDeviceFaultIsNotARetry) {
+  const PointsSoA pts = points_of(600, 35);
+  QueryEngine::Config cfg;
+  cfg.devices = 1;
+  cfg.streams_per_device = 1;
+  cfg.backend_failover = true;
+  cfg.faults.resize(1);
+  cfg.faults[0].device_lost = true;
+  QueryEngine engine(cfg);
+
+  SubmitOptions opts;
+  opts.cost = std::make_shared<obs::QueryCost>();
+  (void)std::get<SdhResult>(
+      engine.sdh(pts, width_for(pts), kBuckets, opts).get());
+
+  const obs::QueryCost& qc = *opts.cost;
+  EXPECT_FALSE(qc.failed);
+  EXPECT_TRUE(qc.failover);
+  EXPECT_EQ(qc.retries, 0u);
+  EXPECT_GE(qc.waste_events, 1u);  // the faulted attempt is still waste
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.counters.retries, 0u);
+  EXPECT_GE(stats.counters.faults, 1u);
+}
+
+// An audit's reference run is charged to its own phase, not dropped and
+// not folded into the query's launch.
+TEST(CostAttribution, AuditTimeLandsInItsOwnPhase) {
+  const PointsSoA pts = points_of(600, 36);
+  QueryEngine::Config cfg = small_pool();
+  cfg.audit_rate = 1.0;
+  QueryEngine engine(cfg);
+
+  SubmitOptions opts;
+  opts.cost = std::make_shared<obs::QueryCost>();
+  (void)engine.pcf(pts, 1.5, opts).get();
+
+  const obs::QueryCost& qc = *opts.cost;
+  EXPECT_EQ(engine.stats().counters.audits, 1u);
+  EXPECT_GT(qc.phase(obs::CostPhase::Audit).seconds, 0.0);
+  EXPECT_GT(qc.phase(obs::CostPhase::Launch).seconds, 0.0);
+  EXPECT_GT(engine.metrics().gauge("serve.cost.phase.audit_seconds").value(),
+            0.0);
+}
+
 TEST(CostAttribution, ShardedChaosTilesBalanceAndWasteIsItemized) {
   // The acceptance check: a sharded run (--shards 4) that loses one lane
   // mid-query must produce a ledger whose per-tile attributions sum to the

@@ -1,9 +1,9 @@
 // FlightRecorder — the serve engine's bounded ring of recent per-query
 // events. The properties under test are the ones the dump relies on:
 // wrap-around keeps exactly the newest events, concurrent writers never
-// corrupt a snapshot (torn slots are skipped, not misread), the SLO
-// limiter dumps once per breach window no matter how many workers race it,
-// and the dump file is a schema-valid document obs::json can parse.
+// corrupt a snapshot (torn slots are skipped, not misread), the automatic
+// dump fires once per window no matter how many workers race it, and the
+// dump file is a schema-valid document obs::json can parse.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -125,13 +125,12 @@ TEST(FlightRecorder, ConcurrentWritersNeverYieldTornRecords) {
 
 TEST(FlightRecorder, SloBreachDumpsExactlyOncePerWindow) {
   FlightRecorder::SloPolicy policy;
-  policy.p99_threshold_seconds = 0.010;
   policy.window_seconds = 3600.0;  // one dump for the whole test
   policy.dump_path = "";           // count the breach, skip the file
   FlightRecorder rec(16, policy);
   rec.record(Event::Submit, "q");
 
-  EXPECT_FALSE(rec.maybe_dump_slo_breach(0.005));  // below threshold
+  EXPECT_FALSE(rec.maybe_dump(Event::Fault));  // not a dump cause
   EXPECT_EQ(rec.auto_dumps(), 0u);
 
   // Many workers observe the breach at once; exactly one wins the CAS.
@@ -140,40 +139,59 @@ TEST(FlightRecorder, SloBreachDumpsExactlyOncePerWindow) {
   for (int t = 0; t < 8; ++t)
     workers.emplace_back([&] {
       for (int i = 0; i < 100; ++i)
-        if (rec.maybe_dump_slo_breach(0.050)) wins.fetch_add(1);
+        if (rec.maybe_dump(Event::SloBreach)) wins.fetch_add(1);
     });
   for (std::thread& w : workers) w.join();
   EXPECT_EQ(wins.load(), 1);
   EXPECT_EQ(rec.auto_dumps(), 1u);
-  EXPECT_FALSE(rec.maybe_dump_slo_breach(0.050));  // window still open
+  EXPECT_FALSE(rec.maybe_dump(Event::SloBreach));  // window still open
 }
 
+// The SloMonitor is the engine's only breach gate: with no latency
+// objective configured, even absurdly slow traffic never dumps.
 TEST(FlightRecorder, ZeroThresholdDisablesTheSloGate) {
-  FlightRecorder rec(16);  // default policy: threshold 0
-  EXPECT_FALSE(rec.maybe_dump_slo_breach(1e9));
-  EXPECT_EQ(rec.auto_dumps(), 0u);
+  QueryEngine::Config cfg;
+  cfg.devices = 1;
+  cfg.streams_per_device = 1;
+  cfg.cache_capacity = 0;
+  cfg.flight.window_seconds = 0.0;  // no window would hold a dump back
+  cfg.flight.dump_path = "";
+  QueryEngine engine(cfg);
+  ASSERT_FALSE(engine.slo().enabled());
+
+  const auto pts = uniform_box(400, 10.0f, 9);
+  for (int i = 0; i < 12; ++i) (void)engine.pcf(pts, 1.0 + 0.1 * i).get();
+  engine.shutdown();
+
+  EXPECT_EQ(engine.flight_recorder().auto_dumps(), 0u);
+  const json::Value metrics = json::parse(engine.metrics_json());
+  EXPECT_EQ(metrics.at("counters").at("serve.slo.breached").number, 0.0);
+  for (const auto& r : engine.flight_recorder().snapshot())
+    EXPECT_NE(r.event, Event::SloBreach);
 }
 
 TEST(FlightRecorder, ShedDumpHonoursPolicyAndWindow) {
   FlightRecorder off(16);  // dump_on_shed defaults to false
-  EXPECT_FALSE(off.maybe_dump_on_shed());
+  EXPECT_FALSE(off.maybe_dump(Event::Shed));
 
   FlightRecorder::SloPolicy policy;
   policy.dump_on_shed = true;
   policy.window_seconds = 3600.0;
   policy.dump_path = "";
   FlightRecorder rec(16, policy);
-  EXPECT_TRUE(rec.maybe_dump_on_shed());
-  EXPECT_FALSE(rec.maybe_dump_on_shed());  // rate-limited by the window
+  EXPECT_TRUE(rec.maybe_dump(Event::Shed));
+  EXPECT_FALSE(rec.maybe_dump(Event::Shed));  // rate-limited by the window
   EXPECT_EQ(rec.auto_dumps(), 1u);
 }
 
 TEST(FlightRecorder, DumpFileIsSchemaValidJson) {
   FlightRecorder rec(8);
-  rec.record(Event::Submit, "sdh|n=2000");
-  rec.record(Event::Enqueue, "sdh|n=2000");
-  rec.record(Event::ExecuteBegin, "sdh|n=2000", /*worker=*/1);
-  rec.record(Event::Complete, "sdh|n=2000", /*worker=*/1, /*latency=*/0.002);
+  const std::uint64_t trace = 0xabc;
+  rec.record(Event::Submit, "sdh|n=2000", 0, 0.0, trace);
+  rec.record(Event::Enqueue, "sdh|n=2000", 0, 0.0, trace);
+  rec.record(Event::ExecuteBegin, "sdh|n=2000", /*worker=*/1, 0.0, trace);
+  rec.record(Event::Complete, "sdh|n=2000", /*worker=*/1, /*latency=*/0.002,
+             trace);
 
   const std::string path = ::testing::TempDir() + "tbs_flight_dump.json";
   ASSERT_TRUE(rec.dump(path, "manual", /*p99=*/0.002, /*threshold=*/0.010));
@@ -197,6 +215,7 @@ TEST(FlightRecorder, DumpFileIsSchemaValidJson) {
     EXPECT_TRUE(e.at("ticket").is_number());
     EXPECT_TRUE(e.at("t_us").is_number());
     EXPECT_TRUE(e.at("event").is_string());
+    EXPECT_EQ(e.at("trace_id").string, "0000000000000abc");
     EXPECT_EQ(e.at("key").string, "sdh|n=2000");
   }
   EXPECT_EQ(events.array[0].at("event").string, "submit");
@@ -272,15 +291,15 @@ TEST(FlightRecorder, ResilienceEventKindsSerializeByName) {
 
 TEST(FlightRecorder, BreakerDumpHonoursPolicyAndWindow) {
   FlightRecorder off(16);  // dump_on_breaker defaults to false
-  EXPECT_FALSE(off.maybe_dump_on_breaker());
+  EXPECT_FALSE(off.maybe_dump(Event::BreakerOpen));
 
   FlightRecorder::SloPolicy policy;
   policy.dump_on_breaker = true;
   policy.window_seconds = 3600.0;
   policy.dump_path = "";
   FlightRecorder rec(16, policy);
-  EXPECT_TRUE(rec.maybe_dump_on_breaker());
-  EXPECT_FALSE(rec.maybe_dump_on_breaker());  // rate-limited by the window
+  EXPECT_TRUE(rec.maybe_dump(Event::BreakerOpen));
+  EXPECT_FALSE(rec.maybe_dump(Event::BreakerOpen));  // rate-limited
   EXPECT_EQ(rec.auto_dumps(), 1u);
 }
 

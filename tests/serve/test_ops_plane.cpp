@@ -202,9 +202,11 @@ TEST(OpsPlaneSlo, BreachBumpsCounterAndDumpNamesTheBreachingTrace) {
   EXPECT_GE(metrics.at("gauges").at("serve.slo.latency_burn_rate").number,
             1.0);
 
-  // The dump exists, says WHY, and names WHO: the breaching query's trace.
+  // The dump exists, says WHY, names the objective it breached, and names
+  // WHO: the breaching query's trace.
   const json::Value dump = json::parse(slurp(cfg.flight.dump_path));
   EXPECT_EQ(dump.at("reason").string, "slo_breach");
+  EXPECT_DOUBLE_EQ(dump.at("threshold_seconds").number, 1e-9);
   const std::string& trace_hex = dump.at("trace_id").string;
   ASSERT_EQ(trace_hex.size(), 16u);
   EXPECT_NE(trace_hex, "0000000000000000");
