@@ -96,12 +96,13 @@ double CpuBackend::pair_cost() {
   // torn or zero cost.
   const std::lock_guard<std::mutex> lock(calib_mu_);
   if (pair_cost_ > 0.0) return pair_cost_;
-  // One timed run of the tiled SDH loop on synthetic data; the histogram
-  // geometry is irrelevant to the per-pair cost.
+  // One timed run of the served SDH loop (the pair tile every SDH variant
+  // launches) on synthetic data; the histogram geometry is irrelevant to
+  // the per-pair cost.
   const PointsSoA pts = uniform_box(kPairCalibN, 10.0f, /*seed=*/42);
   const double width = pts.max_possible_distance() / 64 + 1e-4;
   const auto t0 = std::chrono::steady_clock::now();
-  (void)cpubase::cpu_sdh_tiled(pool_, pts, width, 64, cfg_.cpu);
+  (void)cpubase::cpu_sdh_simd(pool_, pts, width, 64, cfg_.cpu);
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

@@ -2,12 +2,12 @@
 //
 // Promotes src/cpubase from "test oracle" to first-class execution peer:
 // launches run each registry variant's CPU functor over an owned thread
-// pool (the tiled SDH loop, the sub-quadratic tree path, and the exact
+// pool (the SDH pair tile, the sub-quadratic tree path, and the exact
 // cell-grid PCF, join and kNN), bit-identical to the vgpu kernels because
 // every implementation computes distances and buckets the same way.
 //
 // Cost model (estimate()): the backend calibrates a per-pair cost from one
-// timed run of the tiled SDH loop, and each variant declares its work in
+// timed run of the SDH pair tile, and each variant declares its work in
 // pair-equivalents (KernelVariant::cpu_work): all N(N-1)/2 pairs for the
 // brute SDH loop, the stencil's candidate pairs for the grid PCF, a power
 // law fitted to the tree's work counters for Tree-SDH. A launch is priced

@@ -1,6 +1,7 @@
 // Distance histogram — the output structure of Type-II 2-BS problems.
 #pragma once
 
+#include <climits>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -8,6 +9,21 @@
 #include "common/error.hpp"
 
 namespace tbs {
+
+/// Histogram bucket of a distance: the quotient distance / width in double
+/// precision, clamped to the last bucket *before* it is converted, so a
+/// quotient beyond int's range (a tiny width) lands in the last bucket
+/// instead of overflowing the conversion. Every SDH implementation buckets
+/// through this rule (the AVX2 pair tile spells it vdivpd, vminpd,
+/// vcvttpd2dq), so boundary distances land identically everywhere.
+/// `q < last ? q : last` is minpd's operand rule: a NaN quotient also goes
+/// to the last bucket. `distance` must not be negative.
+[[nodiscard]] inline int bucket_index(double distance, double width,
+                                      int buckets) noexcept {
+  const double q = distance / width;
+  const auto last = static_cast<double>(buckets - 1);
+  return static_cast<int>(q < last ? q : last);
+}
 
 /// Fixed-width histogram over [0, bucket_width * bucket_count).
 ///
@@ -22,6 +38,7 @@ class Histogram {
       : width_(bucket_width), counts_(bucket_count, 0) {
     check(bucket_width > 0.0, "Histogram: bucket width must be positive");
     check(bucket_count > 0, "Histogram: need at least one bucket");
+    check(bucket_count <= INT_MAX, "Histogram: too many buckets");
   }
 
   [[nodiscard]] double bucket_width() const noexcept { return width_; }
@@ -29,11 +46,12 @@ class Histogram {
     return counts_.size();
   }
 
-  /// Bucket index for a value; values beyond the range clamp into the last
-  /// bucket (matches the device kernels, which clamp rather than branch).
+  /// Bucket index for a non-negative value; values beyond the range clamp
+  /// into the last bucket (matches the device kernels, which clamp rather
+  /// than branch).
   [[nodiscard]] std::size_t bucket_of(double v) const noexcept {
-    const auto b = static_cast<std::size_t>(v / width_);
-    return b < counts_.size() ? b : counts_.size() - 1;
+    return static_cast<std::size_t>(
+        bucket_index(v, width_, static_cast<int>(counts_.size())));
   }
 
   void add(double v, std::uint64_t weight = 1) noexcept {

@@ -1,5 +1,6 @@
 // Thread-affinity policies, mirroring the Intel/OpenMP affinity types the
-// paper's CPU baseline tunes (scatter / compact / balanced).
+// paper's CPU baseline tunes (scatter / compact / balanced). No pool
+// applies them: CPU pools run unpinned (see CpuConfig in cpu_stats.hpp).
 #pragma once
 
 #include <vector>

@@ -209,7 +209,6 @@ std::uint64_t cpu_pcf_grid(ThreadPool& pool, const PointsSoA& pts,
   parallel_for(
       pool, 0, g.cells(), cfg.schedule,
       [&](unsigned id, std::size_t lo, std::size_t hi) {
-        apply_affinity(cfg, pool, id);
         std::uint64_t count = 0;
         for (std::size_t c = lo; c < hi; ++c)
           forward_runs(cl, c, [&](std::uint32_t p, std::uint32_t a,
@@ -249,7 +248,6 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> cpu_distance_join_grid(
   parallel_for(
       pool, 0, g.cells(), cfg.schedule,
       [&](unsigned id, std::size_t lo, std::size_t hi) {
-        apply_affinity(cfg, pool, id);
         std::vector<std::pair<std::uint32_t, std::uint32_t>> local;
         for (std::size_t c = lo; c < hi; ++c)
           forward_runs(cl, c, [&](std::uint32_t p, std::uint32_t a,
@@ -283,7 +281,6 @@ std::vector<std::vector<float>> cpu_knn_grid(ThreadPool& pool,
   parallel_for(
       pool, 0, g.cells(), cfg.schedule,
       [&](unsigned id, std::size_t lo, std::size_t hi) {
-        apply_affinity(cfg, pool, id);
         // A max-heap of the k smallest dist2 values seen so far.
         std::vector<float> heap;
         heap.reserve(kk);

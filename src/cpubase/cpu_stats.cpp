@@ -1,26 +1,61 @@
 #include "cpubase/cpu_stats.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <mutex>
 
 #include "common/error.hpp"
+#include "cpubase/sdh_tile.hpp"
 
 namespace tbs::cpubase {
 
 namespace {
 
-/// Private histogram copies per worker in cpu_sdh_tiled.
-constexpr std::size_t kSdhCopies = 4;
+/// The SDH of the pairs (anchor i, partner j): j > i when `triangular`
+/// (one set against itself), every j otherwise. Each anchor's partner run
+/// goes through the tile body `tile`, into kSdhCopies private copies per
+/// worker, which are folded and then tree-reduced.
+Histogram sdh_by_tiles(ThreadPool& pool, const PointsSoA& anchors,
+                       const PointsSoA& partners, bool triangular,
+                       double bucket_width, std::size_t buckets,
+                       SdhTileFn tile, const CpuConfig& cfg) {
+  check(buckets <= INT_MAX, "SDH: too many buckets");
+  const std::size_t np = partners.size();
+  const float* xs = partners.x().data();
+  const float* ys = partners.y().data();
+  const float* zs = partners.z().data();
+  std::vector<std::vector<std::uint64_t>> priv(
+      pool.size(), std::vector<std::uint64_t>(kSdhCopies * buckets, 0));
+
+  parallel_for(
+      pool, 0, anchors.size(), cfg.schedule,
+      [&](unsigned id, std::size_t lo, std::size_t hi) {
+        const SdhCopies out{priv[id].data(), bucket_width,
+                            static_cast<int>(buckets)};
+        for (std::size_t i = lo; i < hi; ++i) {
+          const std::size_t j0 = triangular ? i + 1 : 0;
+          if (j0 < np)
+            tile(anchors[i], xs + j0, ys + j0, zs + j0, np - j0, out);
+        }
+      },
+      cfg.chunk);
+
+  for (auto& mine : priv)
+    for (std::size_t c = 1; c < kSdhCopies; ++c)
+      for (std::size_t b = 0; b < buckets; ++b)
+        mine[b] += mine[c * buckets + b];
+  for (std::size_t stride = 1; stride < priv.size(); stride *= 2)
+    for (std::size_t i = 0; i + stride < priv.size(); i += 2 * stride)
+      for (std::size_t b = 0; b < buckets; ++b)
+        priv[i][b] += priv[i + stride][b];
+
+  Histogram result(bucket_width, buckets);
+  for (std::size_t b = 0; b < buckets; ++b) result.set_count(b, priv[0][b]);
+  return result;
+}
 
 }  // namespace
-
-void apply_affinity(const CpuConfig& cfg, ThreadPool& pool, unsigned id) {
-  if (cfg.affinity == Affinity::None) return;
-  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-  const auto map = affinity_map(cfg.affinity, pool.size(), cores);
-  pin_current_thread(map[id]);
-}
 
 Histogram cpu_sdh(ThreadPool& pool, const PointsSoA& pts,
                   double bucket_width, std::size_t buckets,
@@ -42,7 +77,6 @@ Histogram cpu_sdh(ThreadPool& pool, const PointsSoA& pts,
   parallel_for(
       pool, 0, n, cfg.schedule,
       [&](unsigned id, std::size_t lo, std::size_t hi) {
-        apply_affinity(cfg, pool, id);
         std::uint64_t* mine = priv[id].data();
         for (std::size_t i = lo; i < hi; ++i) {
           const float xi = xs[i];
@@ -53,8 +87,7 @@ Histogram cpu_sdh(ThreadPool& pool, const PointsSoA& pts,
             const float dy = yi - ys[j];
             const float dz = zi - zs[j];
             const float d = std::sqrt(dx * dx + dy * dy + dz * dz);
-            ++mine[static_cast<std::size_t>(std::min(
-                static_cast<int>(static_cast<double>(d) / w), nb - 1))];
+            ++mine[static_cast<std::size_t>(bucket_index(d, w, nb))];
           }
         }
       },
@@ -75,77 +108,8 @@ Histogram cpu_sdh_tiled(ThreadPool& pool, const PointsSoA& pts,
                         double bucket_width, std::size_t buckets,
                         const CpuConfig& cfg) {
   check(!pts.empty(), "cpu_sdh_tiled: empty point set");
-  const std::size_t n = pts.size();
-  const double w = bucket_width;
-  const std::span<const float> xs = pts.x();
-  const std::span<const float> ys = pts.y();
-  const std::span<const float> zs = pts.z();
-
-  // kSdhCopies private copies per worker, side by side: with few buckets,
-  // consecutive pairs hit the same counters, and each increment would
-  // wait on the previous store to it. Spreading consecutive updates over
-  // independent copies breaks that chain.
-  std::vector<std::vector<std::uint64_t>> priv(
-      pool.size(), std::vector<std::uint64_t>(kSdhCopies * buckets, 0));
-  const int nb = static_cast<int>(buckets);
-
-  parallel_for(
-      pool, 0, n, cfg.schedule,
-      [&](unsigned id, std::size_t lo, std::size_t hi) {
-        apply_affinity(cfg, pool, id);
-        std::uint64_t* c0 = priv[id].data();
-        std::uint64_t* c1 = c0 + buckets;
-        std::uint64_t* c2 = c1 + buckets;
-        std::uint64_t* c3 = c2 + buckets;
-        // The distance and bucket lanes are separated from the histogram
-        // update so the compiler can vectorize them: each tile first fills
-        // a contiguous distance buffer (pure float arithmetic over
-        // contiguous loads) and its bucket indices, then a scalar pass
-        // counts them.
-        float d_tile[kCpuTile];
-        int b_tile[kCpuTile];
-        for (std::size_t i = lo; i < hi; ++i) {
-          const float xi = xs[i];
-          const float yi = ys[i];
-          const float zi = zs[i];
-          for (std::size_t j0 = i + 1; j0 < n; j0 += kCpuTile) {
-            const std::size_t m = std::min(kCpuTile, n - j0);
-            for (std::size_t t = 0; t < m; ++t) {
-              const float dx = xi - xs[j0 + t];
-              const float dy = yi - ys[j0 + t];
-              const float dz = zi - zs[j0 + t];
-              d_tile[t] = std::sqrt(dx * dx + dy * dy + dz * dz);
-            }
-            for (std::size_t t = 0; t < m; ++t)
-              b_tile[t] = std::min(
-                  static_cast<int>(static_cast<double>(d_tile[t]) / w),
-                  nb - 1);
-            std::size_t t = 0;
-            for (; t + kSdhCopies <= m; t += kSdhCopies) {
-              ++c0[b_tile[t]];
-              ++c1[b_tile[t + 1]];
-              ++c2[b_tile[t + 2]];
-              ++c3[b_tile[t + 3]];
-            }
-            for (; t < m; ++t) ++c0[b_tile[t]];
-          }
-        }
-      },
-      cfg.chunk);
-
-  // Fold each worker's copies into its first, then reduce the workers.
-  for (auto& mine : priv)
-    for (std::size_t c = 1; c < kSdhCopies; ++c)
-      for (std::size_t b = 0; b < buckets; ++b)
-        mine[b] += mine[c * buckets + b];
-  for (std::size_t stride = 1; stride < priv.size(); stride *= 2)
-    for (std::size_t i = 0; i + stride < priv.size(); i += 2 * stride)
-      for (std::size_t b = 0; b < buckets; ++b)
-        priv[i][b] += priv[i + stride][b];
-
-  Histogram result(bucket_width, buckets);
-  for (std::size_t b = 0; b < buckets; ++b) result.set_count(b, priv[0][b]);
-  return result;
+  return sdh_by_tiles(pool, pts, pts, /*triangular=*/true, bucket_width,
+                      buckets, sdh_tile_portable, cfg);
 }
 
 std::uint64_t cpu_pcf(ThreadPool& pool, const PointsSoA& pts, double radius,
@@ -161,7 +125,6 @@ std::uint64_t cpu_pcf(ThreadPool& pool, const PointsSoA& pts, double radius,
   parallel_for(
       pool, 0, n, cfg.schedule,
       [&](unsigned id, std::size_t lo, std::size_t hi) {
-        apply_affinity(cfg, pool, id);
         std::uint64_t count = 0;
         for (std::size_t i = lo; i < hi; ++i) {
           const float xi = xs[i];
@@ -196,7 +159,6 @@ std::uint64_t cpu_pcf_tiled(ThreadPool& pool, const PointsSoA& pts,
   parallel_for(
       pool, 0, n, cfg.schedule,
       [&](unsigned id, std::size_t lo, std::size_t hi) {
-        apply_affinity(cfg, pool, id);
         std::uint64_t count = 0;
         for (std::size_t i = lo; i < hi; ++i) {
           const float xi = xs[i];
@@ -225,62 +187,21 @@ std::uint64_t cpu_pcf_tiled(ThreadPool& pool, const PointsSoA& pts,
   return total;
 }
 
+Histogram cpu_sdh_simd(ThreadPool& pool, const PointsSoA& pts,
+                       double bucket_width, std::size_t buckets,
+                       const CpuConfig& cfg) {
+  check(!pts.empty(), "cpu_sdh_simd: empty point set");
+  return sdh_by_tiles(pool, pts, pts, /*triangular=*/true, bucket_width,
+                      buckets, sdh_tile(), cfg);
+}
+
 Histogram cpu_sdh_cross(ThreadPool& pool, const PointsSoA& anchors,
                         const PointsSoA& partners, double bucket_width,
                         std::size_t buckets, const CpuConfig& cfg) {
   check(!anchors.empty() && !partners.empty(),
         "cpu_sdh_cross: empty point set");
-  const std::size_t na = anchors.size();
-  const std::size_t nb_pts = partners.size();
-  const double w = bucket_width;
-  const std::span<const float> axs = anchors.x();
-  const std::span<const float> ays = anchors.y();
-  const std::span<const float> azs = anchors.z();
-  const std::span<const float> bxs = partners.x();
-  const std::span<const float> bys = partners.y();
-  const std::span<const float> bzs = partners.z();
-
-  std::vector<std::vector<std::uint64_t>> priv(
-      pool.size(), std::vector<std::uint64_t>(buckets, 0));
-  const int nb = static_cast<int>(buckets);
-
-  parallel_for(
-      pool, 0, na, cfg.schedule,
-      [&](unsigned id, std::size_t lo, std::size_t hi) {
-        apply_affinity(cfg, pool, id);
-        std::uint64_t* mine = priv[id].data();
-        float d_tile[kCpuTile];
-        for (std::size_t i = lo; i < hi; ++i) {
-          const float xi = axs[i];
-          const float yi = ays[i];
-          const float zi = azs[i];
-          // The rectangle has no triangular predicate: every anchor walks
-          // the full partner set in vectorizable tiles.
-          for (std::size_t j0 = 0; j0 < nb_pts; j0 += kCpuTile) {
-            const std::size_t m = std::min(kCpuTile, nb_pts - j0);
-            for (std::size_t t = 0; t < m; ++t) {
-              const float dx = xi - bxs[j0 + t];
-              const float dy = yi - bys[j0 + t];
-              const float dz = zi - bzs[j0 + t];
-              d_tile[t] = std::sqrt(dx * dx + dy * dy + dz * dz);
-            }
-            for (std::size_t t = 0; t < m; ++t)
-              ++mine[static_cast<std::size_t>(std::min(
-                  static_cast<int>(static_cast<double>(d_tile[t]) / w),
-                  nb - 1))];
-          }
-        }
-      },
-      cfg.chunk);
-
-  for (std::size_t stride = 1; stride < priv.size(); stride *= 2)
-    for (std::size_t i = 0; i + stride < priv.size(); i += 2 * stride)
-      for (std::size_t b = 0; b < buckets; ++b)
-        priv[i][b] += priv[i + stride][b];
-
-  Histogram result(bucket_width, buckets);
-  for (std::size_t b = 0; b < buckets; ++b) result.set_count(b, priv[0][b]);
-  return result;
+  return sdh_by_tiles(pool, anchors, partners, /*triangular=*/false,
+                      bucket_width, buckets, sdh_tile(), cfg);
 }
 
 std::uint64_t cpu_pcf_cross(ThreadPool& pool, const PointsSoA& anchors,
@@ -302,7 +223,6 @@ std::uint64_t cpu_pcf_cross(ThreadPool& pool, const PointsSoA& anchors,
   parallel_for(
       pool, 0, na, cfg.schedule,
       [&](unsigned id, std::size_t lo, std::size_t hi) {
-        apply_affinity(cfg, pool, id);
         std::uint64_t count = 0;
         for (std::size_t i = lo; i < hi; ++i) {
           const float xi = axs[i];

@@ -2,7 +2,7 @@
 //
 // These serve two roles:
 //  1. the paper's highly-optimized CPU baseline (Sec. IV-D: per-thread
-//     private histograms, tree reduction, tunable schedule and affinity);
+//     private histograms, tree reduction, tunable schedule);
 //  2. ground truth for every GPU kernel's functional tests.
 #pragma once
 
@@ -12,21 +12,20 @@
 
 #include "common/histogram.hpp"
 #include "common/points.hpp"
-#include "cpubase/affinity.hpp"
 #include "cpubase/thread_pool.hpp"
 
 namespace tbs::cpubase {
 
 /// Tuning knobs of the CPU baseline (paper Sec. IV-D).
+///
+/// Pools run unpinned: a pinning policy maps worker i of *every* pool to
+/// the same core, so pools that run at once (an engine's CPU workers, its
+/// failover pool) would stack on a few cores, and worker 0, the calling
+/// thread, would stay pinned after the launch returns.
 struct CpuConfig {
   Schedule schedule = Schedule::Guided;  ///< paper's pick
-  Affinity affinity = Affinity::Balanced;
   std::size_t chunk = 64;  ///< dynamic/guided grain, in outer-loop rows
 };
-
-/// Pin pool worker `id` per the config's affinity policy (no-op for None).
-/// Every pool kernel calls it at the top of each chunk.
-void apply_affinity(const CpuConfig& cfg, ThreadPool& pool, unsigned id);
 
 /// Spatial distance histogram: per-thread private histograms merged by a
 /// tree reduction after all distance evaluations return.
@@ -48,10 +47,19 @@ inline constexpr std::size_t kCpuTile = 256;
 /// cross-iteration dependency). Consecutive histogram updates go to four
 /// private copies per worker, so no increment waits on the previous one;
 /// updates are integer adds, so the result is bit-identical to cpu_sdh
-/// for any tile order.
+/// for any tile order. Runs the portable tile body (sdh_tile_portable)
+/// on every host, so it stays a scalar reference: served launches run
+/// cpu_sdh_simd, and checks compare them against this loop.
 Histogram cpu_sdh_tiled(ThreadPool& pool, const PointsSoA& pts,
                         double bucket_width, std::size_t buckets,
                         const CpuConfig& cfg = {});
+
+/// The served CPU SDH: each point's run of later points goes through the
+/// SDH pair tile (cpubase/sdh_tile.hpp), AVX2 where the host has it.
+/// Bit-identical to cpu_sdh.
+Histogram cpu_sdh_simd(ThreadPool& pool, const PointsSoA& pts,
+                       double bucket_width, std::size_t buckets,
+                       const CpuConfig& cfg = {});
 
 /// 2-PCF with the same tiling; the per-tile hit count folds into a scalar
 /// accumulator, so the whole tile body is branch-free and vectorizable.
@@ -60,7 +68,7 @@ std::uint64_t cpu_pcf_tiled(ThreadPool& pool, const PointsSoA& pts,
 
 /// Cross-set SDH: histogram of all |A|·|B| distances between `anchors` and
 /// `partners` (the CPU substrate for a cross-shard tile — see src/shard/).
-/// Same tiled inner loop and double-precision bucketing as cpu_sdh_tiled,
+/// Each anchor's partners go through the same pair tile as cpu_sdh_simd,
 /// so shard merges are bit-identical to a single-set run over the union.
 Histogram cpu_sdh_cross(ThreadPool& pool, const PointsSoA& anchors,
                         const PointsSoA& partners, double bucket_width,

@@ -2,8 +2,9 @@
 //
 // The paper's CPU baseline is an OpenMP program whose tuning knobs are the
 // scheduling mode (static / dynamic / guided) and thread affinity. We
-// implement those knobs ourselves so the baseline is self-contained and its
-// behaviour is testable; see cpubase/affinity.hpp for the affinity part.
+// implement the schedules ourselves so the baseline is self-contained and
+// its behaviour is testable. Workers run unpinned (see CpuConfig);
+// cpubase/affinity.hpp keeps the affinity types' core maps.
 #pragma once
 
 #include <condition_variable>

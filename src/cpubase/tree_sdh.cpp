@@ -136,7 +136,7 @@ class Resolver {
         stats_(stats),
         counts_(hist.bucket_count(), 0),
         width_(hist.bucket_width()),
-        last_bucket_(static_cast<long>(hist.bucket_count()) - 1) {
+        buckets_(static_cast<int>(hist.bucket_count())) {
     // Materialize the permuted coordinates once so leaf loops run over
     // contiguous SoA ranges (the same layout trick the GPU kernels use).
     const std::size_t n = b.index.size();
@@ -210,9 +210,8 @@ class Resolver {
   }
 
  private:
-  [[nodiscard]] long bucket_of(double v) const {
-    const auto raw = static_cast<long>(v / width_);
-    return raw < last_bucket_ ? raw : last_bucket_;
+  [[nodiscard]] int bucket_of(double v) const {
+    return bucket_index(v, width_, buckets_);
   }
 
   void add_pair(float xi, float yi, float zi, std::uint32_t j) {
@@ -253,7 +252,7 @@ class Resolver {
   std::vector<std::uint64_t> counts_;
   std::vector<float> xs_, ys_, zs_;
   double width_;
-  long last_bucket_;
+  int buckets_;
 };
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/histogram.hpp"
 #include "common/points.hpp"
 
 namespace tbs::kernels {
@@ -32,14 +33,10 @@ inline constexpr double kPcfPairOps = kDist2Ops + kCompareOps;
 /// bound compare).
 inline constexpr double kLoopControlOps = 2.0;
 
-/// Histogram bucket for a distance, clamped into [0, buckets).
-/// The division happens in double precision so that every implementation
-/// in the repo (device kernels, CPU baselines, tree algorithm,
-/// common::Histogram) buckets boundary distances identically.
+/// Histogram bucket for a distance, clamped into [0, buckets) by the one
+/// rule every implementation in the repo shares (tbs::bucket_index).
 inline int bucket_of(float distance, double bucket_width, int buckets) {
-  return std::min(
-      static_cast<int>(static_cast<double>(distance) / bucket_width),
-      buckets - 1);
+  return bucket_index(distance, bucket_width, buckets);
 }
 
 }  // namespace tbs::kernels

@@ -39,12 +39,12 @@ vgpu::KernelStats cpu_stats(int block_size) {
   return s;
 }
 
-/// Run the tiled CPU SDH and report host-side stats.
+/// Run the CPU SDH pair tile and report host-side stats.
 vgpu::KernelStats cpu_launch_sdh(cpubase::ThreadPool& pool,
                                  const cpubase::CpuConfig& cfg,
                                  const PointsSoA& pts, const ProblemDesc& d,
                                  int block_size, KernelOutput& out) {
-  Histogram h = cpubase::cpu_sdh_tiled(
+  Histogram h = cpubase::cpu_sdh_simd(
       pool, pts, d.bucket_width, static_cast<std::size_t>(d.buckets), cfg);
   if (out.hist != nullptr) *out.hist = std::move(h);
   return cpu_stats(block_size);

@@ -8,6 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "backend/cpu_backend.hpp"
 #include "backend/vgpu_backend.hpp"
@@ -169,6 +174,44 @@ TEST_F(BackendPlacement, PlanCacheKeysOnTheBackendSet) {
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(vgpu_be_.counters().launches, launches);
 }
+
+#ifdef __linux__
+TEST(CpuBackendAffinity, DefaultLaunchLeavesTheCallersMaskUnchanged) {
+  // Worker 0 of a CPU pool is the calling thread, so a pinning policy would
+  // change the caller's own mask and keep it changed after the launch. The
+  // launch runs on a fresh thread widened to every core the process may
+  // use, so no earlier pin of the test's main thread can hide a new one.
+  cpu_set_t before;
+  cpu_set_t after;
+  CPU_ZERO(&before);
+  CPU_ZERO(&after);
+  std::thread caller([&] {
+    cpu_set_t all;
+    CPU_ZERO(&all);
+    for (int c = 0; c < CPU_SETSIZE; ++c) CPU_SET(c, &all);
+    (void)sched_setaffinity(0, sizeof(all), &all);
+    (void)sched_getaffinity(0, sizeof(before), &before);
+    backend::CpuBackend be;  // default Config: one worker per core
+    const PointsSoA pts = uniform_box(2000, 10.0f, /*seed=*/5);
+    const auto& registry = kernels::KernelRegistry::instance();
+    Histogram hist;
+    std::uint64_t pairs = 0;
+    kernels::KernelOutput out;
+    out.hist = &hist;
+    out.pairs = &pairs;
+    (void)be.launch(*registry.find(kernels::ProblemType::Sdh, "Reg-ROC-Out"),
+                    pts, kernels::ProblemDesc::sdh(0.5, 64), 256, out);
+    (void)be.launch(*registry.find(kernels::ProblemType::Pcf, "Register-SHM"),
+                    pts, kernels::ProblemDesc::pcf(1.0), 256, out);
+    (void)sched_getaffinity(0, sizeof(after), &after);
+  });
+  caller.join();
+  if (CPU_COUNT(&before) < 2) GTEST_SKIP() << "one usable core: no pin shows";
+  EXPECT_TRUE(CPU_EQUAL(&before, &after))
+      << CPU_COUNT(&before) << " cores before, " << CPU_COUNT(&after)
+      << " after";
+}
+#endif
 
 }  // namespace
 }  // namespace tbs

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 namespace tbs::cpubase {
 namespace {
 
@@ -48,9 +50,13 @@ TEST(AffinityMap, ZeroCoresPinsNothing) {
 }
 
 TEST(PinCurrentThread, ToleratesInvalidCore) {
-  // Must be a harmless no-op, not a crash.
-  pin_current_thread(-1);
-  pin_current_thread(0);
+  // Must be a harmless no-op, not a crash. A throwaway thread takes the
+  // pin, so pools that later tests start from the main thread do not
+  // inherit core 0.
+  std::thread([] {
+    pin_current_thread(-1);
+    pin_current_thread(0);
+  }).join();
   SUCCEED();
 }
 

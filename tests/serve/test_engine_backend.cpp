@@ -192,6 +192,29 @@ TEST(EngineBackends, EveryQueryTypeCountsItsLaunch) {
   EXPECT_EQ(stats.counters.failed, 0u);
 }
 
+TEST(EngineBackends, TinyBucketWidthPutsEveryPairInTheLastBucket) {
+  // SdhQuery{1e-12, 64} passes validation, and distance / width is far
+  // beyond INT_MAX for every pair: both substrates must clamp the quotient
+  // into the last bucket (converting it first crashed the process).
+  const PointsSoA pts = uniform_box(1000, 10.0f, /*seed=*/625);
+  QueryEngine::Config vgpu_cfg;
+  vgpu_cfg.devices = 1;
+  vgpu_cfg.streams_per_device = 1;
+  QueryEngine::Config cpu_cfg;
+  cpu_cfg.devices = 0;
+  cpu_cfg.cpu_workers = 1;
+  cpu_cfg.cpu_threads = 2;
+  for (const QueryEngine::Config& cfg : {vgpu_cfg, cpu_cfg}) {
+    QueryEngine engine(cfg);
+    auto fut = engine.submit(SdhQuery{1e-12, 64}, pts);
+    const Histogram hist = std::get<SdhResult>(get_with_watchdog(fut)).hist;
+    ASSERT_EQ(hist.bucket_count(), 64u);
+    EXPECT_EQ(hist[63], 1000u * 999u / 2u) << "devices=" << cfg.devices;
+    EXPECT_EQ(hist.total(), hist[63]) << "devices=" << cfg.devices;
+    EXPECT_EQ(engine.stats().counters.failed, 0u);
+  }
+}
+
 TEST(EngineBackends, DeviceLostFailsOverToTheCpuBackendUndegraded) {
   const PointsSoA pts = uniform_box(kN, 10.0f, /*seed=*/13);
   const double width = pts.max_possible_distance() / kBuckets + 1e-4;

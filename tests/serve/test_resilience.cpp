@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -361,24 +362,32 @@ TEST(CircuitBreaker, HalfOpenReTripRaceAdmitsBoundedProbesAndOneTransition) {
   // once. The contract — at most `half_open_probes` probes are admitted,
   // and when they all fail, exactly one failure records the re-open
   // transition (the counters a dashboard sums must not double-count).
+  //
+  // The threads are started first and released together from a latch, and
+  // the cooldown is long next to that release: a failed probe re-opens the
+  // breaker, and a straggler reaching allow() a whole cooldown later would
+  // legitimately be granted a second half-open probe.
   CircuitBreaker breaker(BreakerPolicy{.failure_threshold = 1,
-                                       .cooldown_seconds = 0.01,
+                                       .cooldown_seconds = 0.2,
                                        .half_open_probes = 2});
   ASSERT_TRUE(breaker.trip());
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));  // cool down
 
   constexpr int kThreads = 8;
   std::atomic<int> admitted{0};
   std::atomic<int> transitions{0};
+  std::latch go(1);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t)
     threads.emplace_back([&] {
+      go.wait();
       if (breaker.allow()) {
         admitted.fetch_add(1);
         if (breaker.record_failure()) transitions.fetch_add(1);
       }
     });
+  std::this_thread::sleep_for(std::chrono::milliseconds(250));  // cool down
+  go.count_down();
   for (std::thread& t : threads) t.join();
 
   EXPECT_GE(admitted.load(), 1);
