@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
               "===\n\n");
 
   vgpu::Device dev;
-  vgpu::Stream stream(dev);  // launches flow through the async runtime
+  vgpu::Stream stream(dev);  // blocks run on the worker pool
   const double radius = 2.0;
 
   TextTable t({"N", "stores/thread", "stores/warp", "per-thread time",

@@ -30,22 +30,22 @@ void BM_LaunchOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_LaunchOverhead);
 
-// Same kernel through the stream runtime: enqueue + drain + shard merge.
-// The delta vs BM_LaunchOverhead is the async runtime's per-launch cost.
-void BM_AsyncLaunchOverhead(benchmark::State& state) {
+// Same kernel as a stream launch (blocks on the worker pool). The delta vs
+// BM_LaunchOverhead is the pooled path's per-launch cost.
+void BM_StreamLaunchOverhead(benchmark::State& state) {
   vgpu::Device dev;
   vgpu::Stream stream(dev);
   vgpu::DeviceBuffer<int> out(256, 0);
   for (auto _ : state) {
-    auto ev = dev.launch_async(
-        stream, vgpu::LaunchConfig{1, 256, 0},
+    auto stats = stream.launch(
+        vgpu::LaunchConfig{1, 256, 0},
         [&](vgpu::ThreadCtx& ctx) -> vgpu::KernelTask {
           co_await out.store(ctx, static_cast<std::size_t>(ctx.thread_id), 1);
         });
-    benchmark::DoNotOptimize(ev.wait().global_stores);
+    benchmark::DoNotOptimize(stats.global_stores);
   }
 }
-BENCHMARK(BM_AsyncLaunchOverhead);
+BENCHMARK(BM_StreamLaunchOverhead);
 
 void BM_SharedLoadThroughput(benchmark::State& state) {
   vgpu::Device dev;

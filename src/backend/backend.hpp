@@ -62,7 +62,7 @@ struct Estimate {
 /// Monotonic per-backend counters (snapshot semantics).
 struct Counters {
   std::uint64_t launches = 0;      ///< successful kernel launches
-  std::uint64_t faults = 0;        ///< device errors surfaced by launches
+  std::uint64_t faults = 0;        ///< device errors on the substrate
   std::uint64_t bytes_staged = 0;  ///< bytes moved through stage()
 };
 

@@ -6,6 +6,7 @@
 
 #include "common/datagen.hpp"
 #include "common/error.hpp"
+#include "cpubase/cpu_stats.hpp"
 
 namespace tbs::backend {
 
@@ -57,8 +58,7 @@ vgpu::KernelStats CpuBackend::launch(const kernels::KernelVariant& v,
                                      kernels::KernelOutput& out) {
   check(v.launch_cpu != nullptr,
         "CpuBackend: variant has no CPU launch functor");
-  vgpu::KernelStats stats =
-      v.launch_cpu(pool_, cfg_.cpu, pts, desc, block_size, out);
+  vgpu::KernelStats stats = v.launch_cpu(pool_, pts, desc, block_size, out);
   launches_.fetch_add(1, std::memory_order_relaxed);
   return stats;
 }
@@ -71,12 +71,11 @@ vgpu::KernelStats CpuBackend::launch_cross(const PointsSoA& anchors,
   if (desc.type == kernels::ProblemType::Sdh) {
     Histogram h = cpubase::cpu_sdh_cross(
         pool_, anchors, partners, desc.bucket_width,
-        static_cast<std::size_t>(desc.buckets), cfg_.cpu);
+        static_cast<std::size_t>(desc.buckets));
     if (out.hist != nullptr) *out.hist = std::move(h);
   } else {
     const std::uint64_t pairs =
-        cpubase::cpu_pcf_cross(pool_, anchors, partners, desc.radius,
-                               cfg_.cpu);
+        cpubase::cpu_pcf_cross(pool_, anchors, partners, desc.radius);
     if (out.pairs != nullptr) *out.pairs = pairs;
   }
   launches_.fetch_add(1, std::memory_order_relaxed);
@@ -102,7 +101,7 @@ double CpuBackend::pair_cost() {
   const PointsSoA pts = uniform_box(kPairCalibN, 10.0f, /*seed=*/42);
   const double width = pts.max_possible_distance() / 64 + 1e-4;
   const auto t0 = std::chrono::steady_clock::now();
-  (void)cpubase::cpu_sdh_simd(pool_, pts, width, 64, cfg_.cpu);
+  (void)cpubase::cpu_sdh_simd(pool_, pts, width, 64);
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

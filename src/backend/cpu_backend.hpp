@@ -23,7 +23,6 @@
 #include <mutex>
 
 #include "backend/backend.hpp"
-#include "cpubase/cpu_stats.hpp"
 #include "cpubase/thread_pool.hpp"
 
 namespace tbs::backend {
@@ -33,7 +32,6 @@ class CpuBackend final : public IBackend {
   struct Config {
     /// Worker threads; 0 = std::thread::hardware_concurrency().
     unsigned threads = 0;
-    cpubase::CpuConfig cpu{};
     /// Fixed per-launch overhead floor (pool fan-out, tree build) added to
     /// every estimate so tiny-N placements don't flip on noise.
     double launch_overhead_seconds = 50e-6;

@@ -109,22 +109,17 @@ vgpu::KernelStats VgpuBackend::launch(const kernels::KernelVariant& v,
   check(v.launch != nullptr,
         "VgpuBackend: variant has no vgpu launch functor");
   const vgpu::SilentFault silent = next_silent(stream_->device());
-  try {
-    vgpu::KernelStats stats;
-    if (silent == vgpu::SilentFault::Staged && !pts.empty()) {
-      PointsSoA poisoned = pts;
-      corrupt_staged(poisoned);
-      stats = v.launch(*stream_, poisoned, desc, block_size, out);
-    } else {
-      stats = v.launch(*stream_, pts, desc, block_size, out);
-    }
-    if (silent == vgpu::SilentFault::Result) corrupt_result(out);
-    launches_.fetch_add(1, std::memory_order_relaxed);
-    return stats;
-  } catch (const vgpu::DeviceError&) {
-    faults_.fetch_add(1, std::memory_order_relaxed);
-    throw;
+  vgpu::KernelStats stats;
+  if (silent == vgpu::SilentFault::Staged && !pts.empty()) {
+    PointsSoA poisoned = pts;
+    corrupt_staged(poisoned);
+    stats = v.launch(*stream_, poisoned, desc, block_size, out);
+  } else {
+    stats = v.launch(*stream_, pts, desc, block_size, out);
   }
+  if (silent == vgpu::SilentFault::Result) corrupt_result(out);
+  launches_.fetch_add(1, std::memory_order_relaxed);
+  return stats;
 }
 
 vgpu::KernelStats VgpuBackend::launch_cross(const PointsSoA& anchors,
@@ -140,27 +135,22 @@ vgpu::KernelStats VgpuBackend::launch_cross(const PointsSoA& anchors,
     corrupt_staged(poisoned);
     a = &poisoned;
   }
-  try {
-    vgpu::KernelStats stats;
-    if (desc.type == kernels::ProblemType::Sdh) {
-      kernels::SdhResult r =
-          kernels::run_sdh_cross(*stream_, *a, partners,
-                                 desc.bucket_width, desc.buckets, block_size);
-      if (out.hist != nullptr) *out.hist = std::move(r.hist);
-      stats = r.stats;
-    } else {
-      kernels::PcfResult r = kernels::run_pcf_cross(
-          *stream_, *a, partners, desc.radius, block_size);
-      if (out.pairs != nullptr) *out.pairs = r.pairs_within;
-      stats = r.stats;
-    }
-    if (silent == vgpu::SilentFault::Result) corrupt_result(out);
-    launches_.fetch_add(1, std::memory_order_relaxed);
-    return stats;
-  } catch (const vgpu::DeviceError&) {
-    faults_.fetch_add(1, std::memory_order_relaxed);
-    throw;
+  vgpu::KernelStats stats;
+  if (desc.type == kernels::ProblemType::Sdh) {
+    kernels::SdhResult r =
+        kernels::run_sdh_cross(*stream_, *a, partners, desc.bucket_width,
+                               desc.buckets, block_size);
+    if (out.hist != nullptr) *out.hist = std::move(r.hist);
+    stats = r.stats;
+  } else {
+    kernels::PcfResult r = kernels::run_pcf_cross(*stream_, *a, partners,
+                                                  desc.radius, block_size);
+    if (out.pairs != nullptr) *out.pairs = r.pairs_within;
+    stats = r.stats;
   }
+  if (silent == vgpu::SilentFault::Result) corrupt_result(out);
+  launches_.fetch_add(1, std::memory_order_relaxed);
+  return stats;
 }
 
 Estimate VgpuBackend::estimate(const kernels::KernelVariant& v,
@@ -182,7 +172,10 @@ Estimate VgpuBackend::estimate(const kernels::KernelVariant& v,
 Counters VgpuBackend::counters() const {
   Counters c;
   c.launches = launches_.load(std::memory_order_relaxed);
-  c.faults = faults_.load(std::memory_order_relaxed);
+  // Every launch on the device passes its injector, so its loud-fault
+  // count covers the device's other lanes as well as this one.
+  if (const vgpu::FaultInjector* inj = stream_->device().fault_injector())
+    c.faults = inj->stats().faults();
   c.bytes_staged = bytes_staged_.load(std::memory_order_relaxed);
   return c;
 }

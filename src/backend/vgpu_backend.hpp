@@ -1,8 +1,10 @@
 // VgpuBackend — the simulated-GPU substrate behind the IBackend seam.
 //
-// A thin adapter: launches go through a vgpu::Stream exactly as before the
-// seam existed, so everything attached to the Device — fault injection
-// plans, launch observers, the launch counter — keeps working untouched.
+// A thin adapter: launches go through a vgpu::Stream (blocks on the worker
+// pool), so everything attached to the Device — fault injection plans,
+// launch observers, the launch counter — sees them. counters().faults is
+// the device injector's loud-fault count, which covers every lane onto
+// the device.
 // Two construction modes:
 //   * VgpuBackend(Device&): the backend owns a private stream on the
 //     device (a serve worker's lane).
@@ -60,7 +62,6 @@ class VgpuBackend final : public IBackend {
   vgpu::Stream* stream_;               ///< never null
   Capabilities caps_;
   std::atomic<std::uint64_t> launches_{0};
-  std::atomic<std::uint64_t> faults_{0};
   std::atomic<std::uint64_t> bytes_staged_{0};
 };
 

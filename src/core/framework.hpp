@@ -5,7 +5,7 @@
 // their launch through core::choose — the same rule QueryEngine uses:
 // the problem's default variant, auto-planned above kPlanThreshold points
 // (price kernel variants, pick the cheapest — the paper's framework
-// vision) — and run it through a VgpuBackend on the async runtime. Plans
+// vision) — and run it through a VgpuBackend on a pooled stream. Plans
 // are memoized in a PlanCache: a repeated query shape reuses its plan with
 // zero additional calibration launches, and the chosen plan is retrievable
 // afterwards for inspection. kde and gram have no registry entry and call

@@ -8,7 +8,7 @@
 // The generic entry point is plan(): it enumerates KernelRegistry rather
 // than a per-problem table, so a new statistic becomes plannable the moment
 // its variants register. Calibration launches go through the backends being
-// priced, so planning shares the async runtime with serving; pass a
+// priced, so planning shares the pooled stream lanes with serving; pass a
 // PlanCache to memoize plans across queries (calibration is the expensive
 // part — a hit costs zero launches).
 //

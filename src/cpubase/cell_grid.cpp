@@ -195,10 +195,10 @@ void forward_runs(const CellLists& cl, std::size_t c, Visit&& visit) {
 }  // namespace
 
 std::uint64_t cpu_pcf_grid(ThreadPool& pool, const PointsSoA& pts,
-                           double radius, const CpuConfig& cfg) {
+                           double radius) {
   check(!pts.empty(), "cpu_pcf_grid: empty point set");
   const Grid g = pair_test_grid(pts, radius);
-  if (!g.prunes()) return cpu_pcf_tiled(pool, pts, radius, cfg);
+  if (!g.prunes()) return cpu_pcf_tiled(pool, pts, radius);
   const CellLists cl = bin(pts, g);
   const auto r2 = static_cast<float>(radius * radius);
   const float* xs = cl.x.data();
@@ -207,7 +207,7 @@ std::uint64_t cpu_pcf_grid(ThreadPool& pool, const PointsSoA& pts,
 
   std::vector<std::uint64_t> partial(pool.size(), 0);
   parallel_for(
-      pool, 0, g.cells(), cfg.schedule,
+      pool, 0, g.cells(), kCpuSchedule,
       [&](unsigned id, std::size_t lo, std::size_t hi) {
         std::uint64_t count = 0;
         for (std::size_t c = lo; c < hi; ++c)
@@ -227,7 +227,7 @@ std::uint64_t cpu_pcf_grid(ThreadPool& pool, const PointsSoA& pts,
           });
         partial[id] += count;
       },
-      cfg.chunk);
+      kCpuChunk);
 
   std::uint64_t total = 0;
   for (const auto c : partial) total += c;
@@ -235,19 +235,18 @@ std::uint64_t cpu_pcf_grid(ThreadPool& pool, const PointsSoA& pts,
 }
 
 std::vector<std::pair<std::uint32_t, std::uint32_t>> cpu_distance_join_grid(
-    ThreadPool& pool, const PointsSoA& pts, double radius,
-    const CpuConfig& cfg) {
+    ThreadPool& pool, const PointsSoA& pts, double radius) {
   if (pts.empty()) return {};
   const Grid g = pair_test_grid(pts, radius);
-  if (!g.prunes()) return cpu_distance_join(pool, pts, radius, cfg);
+  if (!g.prunes()) return cpu_distance_join(pool, pts, radius);
   const CellLists cl = bin(pts, g);
   const auto r2 = static_cast<float>(radius * radius);
   std::vector<std::pair<std::uint32_t, std::uint32_t>> out;
   std::mutex out_mutex;
 
   parallel_for(
-      pool, 0, g.cells(), cfg.schedule,
-      [&](unsigned id, std::size_t lo, std::size_t hi) {
+      pool, 0, g.cells(), kCpuSchedule,
+      [&](unsigned /*id*/, std::size_t lo, std::size_t hi) {
         std::vector<std::pair<std::uint32_t, std::uint32_t>> local;
         for (std::size_t c = lo; c < hi; ++c)
           forward_runs(cl, c, [&](std::uint32_t p, std::uint32_t a,
@@ -260,27 +259,26 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> cpu_distance_join_grid(
         const std::lock_guard lock(out_mutex);
         out.insert(out.end(), local.begin(), local.end());
       },
-      cfg.chunk);
+      kCpuChunk);
   return out;
 }
 
 std::vector<std::vector<float>> cpu_knn_grid(ThreadPool& pool,
-                                             const PointsSoA& pts, int k,
-                                             const CpuConfig& cfg) {
+                                             const PointsSoA& pts, int k) {
   check(k >= 1, "cpu_knn_grid: k must be >= 1");
   check(pts.size() > static_cast<std::size_t>(k),
         "cpu_knn_grid: need more points than k");
   const std::size_t n = pts.size();
   const Grid g = make_grid(pts, 0.0, std::max<std::size_t>(
                                          1, n / kKnnPointsPerCell));
-  if (!g.prunes()) return cpu_knn(pool, pts, k, cfg);
+  if (!g.prunes()) return cpu_knn(pool, pts, k);
   const CellLists cl = bin(pts, g);
   const auto kk = static_cast<std::size_t>(k);
   std::vector<std::vector<float>> result(n);
 
   parallel_for(
-      pool, 0, g.cells(), cfg.schedule,
-      [&](unsigned id, std::size_t lo, std::size_t hi) {
+      pool, 0, g.cells(), kCpuSchedule,
+      [&](unsigned /*id*/, std::size_t lo, std::size_t hi) {
         // A max-heap of the k smallest dist2 values seen so far.
         std::vector<float> heap;
         heap.reserve(kk);
@@ -364,7 +362,7 @@ std::vector<std::vector<float>> cpu_knn_grid(ThreadPool& pool,
           }
         }
       },
-      cfg.chunk);
+      kCpuChunk);
   return result;
 }
 

@@ -23,19 +23,17 @@ namespace tbs::cpubase {
 
 /// 2-PCF on the cell grid: the count cpu_pcf_tiled returns.
 std::uint64_t cpu_pcf_grid(ThreadPool& pool, const PointsSoA& pts,
-                           double radius, const CpuConfig& cfg = {});
+                           double radius);
 
 /// Distance join on the cell grid: the pair set cpu_distance_join returns,
 /// every pair as (i, j) with i < j. Pair order is unspecified.
 std::vector<std::pair<std::uint32_t, std::uint32_t>> cpu_distance_join_grid(
-    ThreadPool& pool, const PointsSoA& pts, double radius,
-    const CpuConfig& cfg = {});
+    ThreadPool& pool, const PointsSoA& pts, double radius);
 
 /// All-point kNN on the cell grid, searching cells in expanding shells:
 /// the rows cpu_knn returns, each owning exactly k floats.
 std::vector<std::vector<float>> cpu_knn_grid(ThreadPool& pool,
-                                             const PointsSoA& pts, int k,
-                                             const CpuConfig& cfg = {});
+                                             const PointsSoA& pts, int k);
 
 /// The pairs cpu_pcf_grid examines on `pts`: the stencil's candidate
 /// pairs, or all N(N-1)/2 when the grid cannot prune.

@@ -19,7 +19,7 @@ namespace {
 Histogram sdh_by_tiles(ThreadPool& pool, const PointsSoA& anchors,
                        const PointsSoA& partners, bool triangular,
                        double bucket_width, std::size_t buckets,
-                       SdhTileFn tile, const CpuConfig& cfg) {
+                       SdhTileFn tile) {
   check(buckets <= INT_MAX, "SDH: too many buckets");
   const std::size_t np = partners.size();
   const float* xs = partners.x().data();
@@ -29,7 +29,7 @@ Histogram sdh_by_tiles(ThreadPool& pool, const PointsSoA& anchors,
       pool.size(), std::vector<std::uint64_t>(kSdhCopies * buckets, 0));
 
   parallel_for(
-      pool, 0, anchors.size(), cfg.schedule,
+      pool, 0, anchors.size(), kCpuSchedule,
       [&](unsigned id, std::size_t lo, std::size_t hi) {
         const SdhCopies out{priv[id].data(), bucket_width,
                             static_cast<int>(buckets)};
@@ -39,7 +39,7 @@ Histogram sdh_by_tiles(ThreadPool& pool, const PointsSoA& anchors,
             tile(anchors[i], xs + j0, ys + j0, zs + j0, np - j0, out);
         }
       },
-      cfg.chunk);
+      kCpuChunk);
 
   for (auto& mine : priv)
     for (std::size_t c = 1; c < kSdhCopies; ++c)
@@ -58,8 +58,7 @@ Histogram sdh_by_tiles(ThreadPool& pool, const PointsSoA& anchors,
 }  // namespace
 
 Histogram cpu_sdh(ThreadPool& pool, const PointsSoA& pts,
-                  double bucket_width, std::size_t buckets,
-                  const CpuConfig& cfg) {
+                  double bucket_width, std::size_t buckets) {
   check(!pts.empty(), "cpu_sdh: empty point set");
   const std::size_t n = pts.size();
   // Bucket with the same double-precision division Histogram::bucket_of
@@ -75,7 +74,7 @@ Histogram cpu_sdh(ThreadPool& pool, const PointsSoA& pts,
   const int nb = static_cast<int>(buckets);
 
   parallel_for(
-      pool, 0, n, cfg.schedule,
+      pool, 0, n, kCpuSchedule,
       [&](unsigned id, std::size_t lo, std::size_t hi) {
         std::uint64_t* mine = priv[id].data();
         for (std::size_t i = lo; i < hi; ++i) {
@@ -91,7 +90,7 @@ Histogram cpu_sdh(ThreadPool& pool, const PointsSoA& pts,
           }
         }
       },
-      cfg.chunk);
+      kCpuChunk);
 
   // Tree reduction of the private copies.
   for (std::size_t stride = 1; stride < priv.size(); stride *= 2)
@@ -105,15 +104,13 @@ Histogram cpu_sdh(ThreadPool& pool, const PointsSoA& pts,
 }
 
 Histogram cpu_sdh_tiled(ThreadPool& pool, const PointsSoA& pts,
-                        double bucket_width, std::size_t buckets,
-                        const CpuConfig& cfg) {
+                        double bucket_width, std::size_t buckets) {
   check(!pts.empty(), "cpu_sdh_tiled: empty point set");
   return sdh_by_tiles(pool, pts, pts, /*triangular=*/true, bucket_width,
-                      buckets, sdh_tile_portable, cfg);
+                      buckets, sdh_tile_portable);
 }
 
-std::uint64_t cpu_pcf(ThreadPool& pool, const PointsSoA& pts, double radius,
-                      const CpuConfig& cfg) {
+std::uint64_t cpu_pcf(ThreadPool& pool, const PointsSoA& pts, double radius) {
   check(!pts.empty(), "cpu_pcf: empty point set");
   const std::size_t n = pts.size();
   const auto r2 = static_cast<float>(radius * radius);
@@ -123,7 +120,7 @@ std::uint64_t cpu_pcf(ThreadPool& pool, const PointsSoA& pts, double radius,
 
   std::vector<std::uint64_t> partial(pool.size(), 0);
   parallel_for(
-      pool, 0, n, cfg.schedule,
+      pool, 0, n, kCpuSchedule,
       [&](unsigned id, std::size_t lo, std::size_t hi) {
         std::uint64_t count = 0;
         for (std::size_t i = lo; i < hi; ++i) {
@@ -139,7 +136,7 @@ std::uint64_t cpu_pcf(ThreadPool& pool, const PointsSoA& pts, double radius,
         }
         partial[id] += count;
       },
-      cfg.chunk);
+      kCpuChunk);
 
   std::uint64_t total = 0;
   for (const auto c : partial) total += c;
@@ -147,7 +144,7 @@ std::uint64_t cpu_pcf(ThreadPool& pool, const PointsSoA& pts, double radius,
 }
 
 std::uint64_t cpu_pcf_tiled(ThreadPool& pool, const PointsSoA& pts,
-                            double radius, const CpuConfig& cfg) {
+                            double radius) {
   check(!pts.empty(), "cpu_pcf_tiled: empty point set");
   const std::size_t n = pts.size();
   const auto r2 = static_cast<float>(radius * radius);
@@ -157,7 +154,7 @@ std::uint64_t cpu_pcf_tiled(ThreadPool& pool, const PointsSoA& pts,
 
   std::vector<std::uint64_t> partial(pool.size(), 0);
   parallel_for(
-      pool, 0, n, cfg.schedule,
+      pool, 0, n, kCpuSchedule,
       [&](unsigned id, std::size_t lo, std::size_t hi) {
         std::uint64_t count = 0;
         for (std::size_t i = lo; i < hi; ++i) {
@@ -180,7 +177,7 @@ std::uint64_t cpu_pcf_tiled(ThreadPool& pool, const PointsSoA& pts,
         }
         partial[id] += count;
       },
-      cfg.chunk);
+      kCpuChunk);
 
   std::uint64_t total = 0;
   for (const auto c : partial) total += c;
@@ -188,25 +185,23 @@ std::uint64_t cpu_pcf_tiled(ThreadPool& pool, const PointsSoA& pts,
 }
 
 Histogram cpu_sdh_simd(ThreadPool& pool, const PointsSoA& pts,
-                       double bucket_width, std::size_t buckets,
-                       const CpuConfig& cfg) {
+                       double bucket_width, std::size_t buckets) {
   check(!pts.empty(), "cpu_sdh_simd: empty point set");
   return sdh_by_tiles(pool, pts, pts, /*triangular=*/true, bucket_width,
-                      buckets, sdh_tile(), cfg);
+                      buckets, sdh_tile());
 }
 
 Histogram cpu_sdh_cross(ThreadPool& pool, const PointsSoA& anchors,
                         const PointsSoA& partners, double bucket_width,
-                        std::size_t buckets, const CpuConfig& cfg) {
+                        std::size_t buckets) {
   check(!anchors.empty() && !partners.empty(),
         "cpu_sdh_cross: empty point set");
   return sdh_by_tiles(pool, anchors, partners, /*triangular=*/false,
-                      bucket_width, buckets, sdh_tile(), cfg);
+                      bucket_width, buckets, sdh_tile());
 }
 
 std::uint64_t cpu_pcf_cross(ThreadPool& pool, const PointsSoA& anchors,
-                            const PointsSoA& partners, double radius,
-                            const CpuConfig& cfg) {
+                            const PointsSoA& partners, double radius) {
   check(!anchors.empty() && !partners.empty(),
         "cpu_pcf_cross: empty point set");
   const std::size_t na = anchors.size();
@@ -221,7 +216,7 @@ std::uint64_t cpu_pcf_cross(ThreadPool& pool, const PointsSoA& anchors,
 
   std::vector<std::uint64_t> partial(pool.size(), 0);
   parallel_for(
-      pool, 0, na, cfg.schedule,
+      pool, 0, na, kCpuSchedule,
       [&](unsigned id, std::size_t lo, std::size_t hi) {
         std::uint64_t count = 0;
         for (std::size_t i = lo; i < hi; ++i) {
@@ -242,7 +237,7 @@ std::uint64_t cpu_pcf_cross(ThreadPool& pool, const PointsSoA& anchors,
         }
         partial[id] += count;
       },
-      cfg.chunk);
+      kCpuChunk);
 
   std::uint64_t total = 0;
   for (const auto c : partial) total += c;
@@ -250,8 +245,7 @@ std::uint64_t cpu_pcf_cross(ThreadPool& pool, const PointsSoA& anchors,
 }
 
 std::vector<std::vector<float>> cpu_knn(ThreadPool& pool,
-                                        const PointsSoA& pts, int k,
-                                        const CpuConfig& cfg) {
+                                        const PointsSoA& pts, int k) {
   check(k >= 1, "cpu_knn: k must be >= 1");
   check(pts.size() > static_cast<std::size_t>(k),
         "cpu_knn: need more points than k");
@@ -259,7 +253,7 @@ std::vector<std::vector<float>> cpu_knn(ThreadPool& pool,
   std::vector<std::vector<float>> result(n);
 
   parallel_for(
-      pool, 0, n, cfg.schedule,
+      pool, 0, n, kCpuSchedule,
       [&](unsigned, std::size_t lo, std::size_t hi) {
         std::vector<float> d2(n);
         for (std::size_t i = lo; i < hi; ++i) {
@@ -276,19 +270,19 @@ std::vector<std::vector<float>> cpu_knn(ThreadPool& pool,
           result[i] = std::move(row);
         }
       },
-      cfg.chunk);
+      kCpuChunk);
   return result;
 }
 
 std::vector<double> cpu_kde(ThreadPool& pool, const PointsSoA& pts,
-                            double bandwidth, const CpuConfig& cfg) {
+                            double bandwidth) {
   check(bandwidth > 0.0, "cpu_kde: bandwidth must be positive");
   const std::size_t n = pts.size();
   const double inv = 1.0 / (2.0 * bandwidth * bandwidth);
   std::vector<double> f(n, 0.0);
 
   parallel_for(
-      pool, 0, n, cfg.schedule,
+      pool, 0, n, kCpuSchedule,
       [&](unsigned, std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
           const Point3 pi = pts[i];
@@ -300,20 +294,19 @@ std::vector<double> cpu_kde(ThreadPool& pool, const PointsSoA& pts,
           f[i] = sum;
         }
       },
-      cfg.chunk);
+      kCpuChunk);
   return f;
 }
 
 std::vector<std::pair<std::uint32_t, std::uint32_t>> cpu_distance_join(
-    ThreadPool& pool, const PointsSoA& pts, double radius,
-    const CpuConfig& cfg) {
+    ThreadPool& pool, const PointsSoA& pts, double radius) {
   const std::size_t n = pts.size();
   const auto r2 = static_cast<float>(radius * radius);
   std::vector<std::pair<std::uint32_t, std::uint32_t>> out;
   std::mutex out_mutex;
 
   parallel_for(
-      pool, 0, n, cfg.schedule,
+      pool, 0, n, kCpuSchedule,
       [&](unsigned, std::size_t lo, std::size_t hi) {
         std::vector<std::pair<std::uint32_t, std::uint32_t>> local;
         for (std::size_t i = lo; i < hi; ++i) {
@@ -327,18 +320,18 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> cpu_distance_join(
         const std::lock_guard lock(out_mutex);
         out.insert(out.end(), local.begin(), local.end());
       },
-      cfg.chunk);
+      kCpuChunk);
   return out;
 }
 
 std::vector<float> cpu_gram(ThreadPool& pool, const PointsSoA& pts,
-                            double gamma, const CpuConfig& cfg) {
+                            double gamma) {
   const std::size_t n = pts.size();
   std::vector<float> k(n * n, 0.0f);
   const auto g = static_cast<float>(gamma);
 
   parallel_for(
-      pool, 0, n, cfg.schedule,
+      pool, 0, n, kCpuSchedule,
       [&](unsigned, std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
           const Point3 pi = pts[i];
@@ -346,7 +339,7 @@ std::vector<float> cpu_gram(ThreadPool& pool, const PointsSoA& pts,
             k[i * n + j] = std::exp(-g * dist2(pi, pts[j]));
         }
       },
-      cfg.chunk);
+      kCpuChunk);
   return k;
 }
 

@@ -2,7 +2,7 @@
 //
 // These serve two roles:
 //  1. the paper's highly-optimized CPU baseline (Sec. IV-D: per-thread
-//     private histograms, tree reduction, tunable schedule);
+//     private histograms, tree reduction, guided schedule);
 //  2. ground truth for every GPU kernel's functional tests.
 #pragma once
 
@@ -16,26 +16,18 @@
 
 namespace tbs::cpubase {
 
-/// Tuning knobs of the CPU baseline (paper Sec. IV-D).
-///
-/// Pools run unpinned: a pinning policy maps worker i of *every* pool to
-/// the same core, so pools that run at once (an engine's CPU workers, its
-/// failover pool) would stack on a few cores, and worker 0, the calling
-/// thread, would stay pinned after the launch returns.
-struct CpuConfig {
-  Schedule schedule = Schedule::Guided;  ///< paper's pick
-  std::size_t chunk = 64;  ///< dynamic/guided grain, in outer-loop rows
-};
+/// The loop schedule of every pool kernel in cpubase (paper Sec. IV-D
+/// picks guided) and its minimum grain, in outer-loop rows.
+inline constexpr Schedule kCpuSchedule = Schedule::Guided;
+inline constexpr std::size_t kCpuChunk = 64;
 
 /// Spatial distance histogram: per-thread private histograms merged by a
 /// tree reduction after all distance evaluations return.
 Histogram cpu_sdh(ThreadPool& pool, const PointsSoA& pts,
-                  double bucket_width, std::size_t buckets,
-                  const CpuConfig& cfg = {});
+                  double bucket_width, std::size_t buckets);
 
 /// 2-point correlation function: unordered pairs with distance < radius.
-std::uint64_t cpu_pcf(ThreadPool& pool, const PointsSoA& pts, double radius,
-                      const CpuConfig& cfg = {});
+std::uint64_t cpu_pcf(ThreadPool& pool, const PointsSoA& pts, double radius);
 
 /// Inner-loop tile width of the *_tiled kernels: big enough to amortize
 /// the per-tile bookkeeping, small enough that three float lanes of a tile
@@ -51,20 +43,18 @@ inline constexpr std::size_t kCpuTile = 256;
 /// on every host, so it stays a scalar reference: served launches run
 /// cpu_sdh_simd, and checks compare them against this loop.
 Histogram cpu_sdh_tiled(ThreadPool& pool, const PointsSoA& pts,
-                        double bucket_width, std::size_t buckets,
-                        const CpuConfig& cfg = {});
+                        double bucket_width, std::size_t buckets);
 
 /// The served CPU SDH: each point's run of later points goes through the
 /// SDH pair tile (cpubase/sdh_tile.hpp), AVX2 where the host has it.
 /// Bit-identical to cpu_sdh.
 Histogram cpu_sdh_simd(ThreadPool& pool, const PointsSoA& pts,
-                       double bucket_width, std::size_t buckets,
-                       const CpuConfig& cfg = {});
+                       double bucket_width, std::size_t buckets);
 
 /// 2-PCF with the same tiling; the per-tile hit count folds into a scalar
 /// accumulator, so the whole tile body is branch-free and vectorizable.
 std::uint64_t cpu_pcf_tiled(ThreadPool& pool, const PointsSoA& pts,
-                            double radius, const CpuConfig& cfg = {});
+                            double radius);
 
 /// Cross-set SDH: histogram of all |A|·|B| distances between `anchors` and
 /// `partners` (the CPU substrate for a cross-shard tile — see src/shard/).
@@ -72,33 +62,30 @@ std::uint64_t cpu_pcf_tiled(ThreadPool& pool, const PointsSoA& pts,
 /// so shard merges are bit-identical to a single-set run over the union.
 Histogram cpu_sdh_cross(ThreadPool& pool, const PointsSoA& anchors,
                         const PointsSoA& partners, double bucket_width,
-                        std::size_t buckets, const CpuConfig& cfg = {});
+                        std::size_t buckets);
 
 /// Cross-set 2-PCF: count of pairs (a in anchors, b in partners) with
 /// dist < radius.
 std::uint64_t cpu_pcf_cross(ThreadPool& pool, const PointsSoA& anchors,
-                            const PointsSoA& partners, double radius,
-                            const CpuConfig& cfg = {});
+                            const PointsSoA& partners, double radius);
 
 /// All-point k-nearest-neighbour distances: for each point, the distances
 /// to its k nearest other points, ascending. k must be >= 1.
 std::vector<std::vector<float>> cpu_knn(ThreadPool& pool,
-                                        const PointsSoA& pts, int k,
-                                        const CpuConfig& cfg = {});
+                                        const PointsSoA& pts, int k);
 
 /// Gaussian kernel density estimate at every point (excluding self):
 /// f(i) = sum_j exp(-|p_i - p_j|^2 / (2 h^2)).
 std::vector<double> cpu_kde(ThreadPool& pool, const PointsSoA& pts,
-                            double bandwidth, const CpuConfig& cfg = {});
+                            double bandwidth);
 
 /// Distance join: all unordered pairs (i, j), i < j, with dist < radius.
 /// Pair order in the result is unspecified.
 std::vector<std::pair<std::uint32_t, std::uint32_t>> cpu_distance_join(
-    ThreadPool& pool, const PointsSoA& pts, double radius,
-    const CpuConfig& cfg = {});
+    ThreadPool& pool, const PointsSoA& pts, double radius);
 
 /// RBF Gram matrix K[i*n+j] = exp(-gamma |p_i - p_j|^2) (row-major, n x n).
 std::vector<float> cpu_gram(ThreadPool& pool, const PointsSoA& pts,
-                            double gamma, const CpuConfig& cfg = {});
+                            double gamma);
 
 }  // namespace tbs::cpubase

@@ -3,8 +3,10 @@
 // The paper's CPU baseline is an OpenMP program whose tuning knobs are the
 // scheduling mode (static / dynamic / guided) and thread affinity. We
 // implement the schedules ourselves so the baseline is self-contained and
-// its behaviour is testable. Workers run unpinned (see CpuConfig);
-// cpubase/affinity.hpp keeps the affinity types' core maps.
+// its behaviour is testable. Workers run unpinned: a pinning policy maps
+// worker i of *every* pool to the same core, so pools that run at once (an
+// engine's CPU workers, its failover pool) would stack on a few cores, and
+// worker 0, the calling thread, would stay pinned after the launch.
 #pragma once
 
 #include <condition_variable>

@@ -112,10 +112,15 @@ KernelTask pcf_cross(ThreadCtx& ctx, CrossParams p) {
   co_await p.counts->store(ctx, static_cast<std::size_t>(g), count);
 }
 
-template <class Launch>
-SdhResult run_sdh_cross_impl(Launch&& do_launch, const PointsSoA& anchors,
-                             const PointsSoA& partners, double bucket_width,
-                             int buckets, int block_size) {
+}  // namespace
+
+std::size_t sdh_cross_shared_bytes(int /*block_size*/, int buckets) {
+  return static_cast<std::size_t>(buckets) * sizeof(std::uint32_t);
+}
+
+SdhResult run_sdh_cross(vgpu::LaunchTarget target, const PointsSoA& anchors,
+                        const PointsSoA& partners, double bucket_width,
+                        int buckets, int block_size) {
   check(!anchors.empty() && !partners.empty(),
         "run_sdh_cross: empty point set");
   check(buckets > 0, "run_sdh_cross: need at least one bucket");
@@ -148,12 +153,12 @@ SdhResult run_sdh_cross_impl(Launch&& do_launch, const PointsSoA& anchors,
   cfg.block_dim = block_size;
   cfg.shared_bytes = sdh_cross_shared_bytes(block_size, buckets);
   KernelStats stats =
-      do_launch(cfg, [&](ThreadCtx& ctx) { return sdh_cross(ctx, p); });
+      target.launch(cfg, [&](ThreadCtx& ctx) { return sdh_cross(ctx, p); });
 
   LaunchConfig rcfg;
   rcfg.grid_dim = (buckets + block_size - 1) / block_size;
   rcfg.block_dim = block_size;
-  stats.merge(do_launch(
+  stats.merge(target.launch(
       rcfg, [&](ThreadCtx& ctx) { return cross_reduce(ctx, p, grid); }));
 
   SdhResult result{Histogram(bucket_width, static_cast<std::size_t>(buckets)),
@@ -164,10 +169,9 @@ SdhResult run_sdh_cross_impl(Launch&& do_launch, const PointsSoA& anchors,
   return result;
 }
 
-template <class Launch>
-PcfResult run_pcf_cross_impl(Launch&& do_launch, const PointsSoA& anchors,
-                             const PointsSoA& partners, double radius,
-                             int block_size) {
+PcfResult run_pcf_cross(vgpu::LaunchTarget target, const PointsSoA& anchors,
+                        const PointsSoA& partners, double radius,
+                        int block_size) {
   check(!anchors.empty() && !partners.empty(),
         "run_pcf_cross: empty point set");
   check(radius > 0.0, "run_pcf_cross: radius must be positive");
@@ -194,55 +198,9 @@ PcfResult run_pcf_cross_impl(Launch&& do_launch, const PointsSoA& anchors,
 
   PcfResult result;
   result.stats =
-      do_launch(cfg, [&](ThreadCtx& ctx) { return pcf_cross(ctx, p); });
+      target.launch(cfg, [&](ThreadCtx& ctx) { return pcf_cross(ctx, p); });
   for (const std::uint32_t c : counts.host()) result.pairs_within += c;
   return result;
-}
-
-auto inline_launcher(vgpu::Device& dev) {
-  return [&dev](const LaunchConfig& cfg, const vgpu::KernelBody& body) {
-    return dev.launch(cfg, body);
-  };
-}
-
-auto stream_launcher(vgpu::Stream& stream) {
-  return [&stream](const LaunchConfig& cfg, const vgpu::KernelBody& body) {
-    return stream.device().launch_async(stream, cfg, body).wait();
-  };
-}
-
-}  // namespace
-
-std::size_t sdh_cross_shared_bytes(int /*block_size*/, int buckets) {
-  return static_cast<std::size_t>(buckets) * sizeof(std::uint32_t);
-}
-
-SdhResult run_sdh_cross(vgpu::Device& dev, const PointsSoA& anchors,
-                        const PointsSoA& partners, double bucket_width,
-                        int buckets, int block_size) {
-  return run_sdh_cross_impl(inline_launcher(dev), anchors, partners,
-                            bucket_width, buckets, block_size);
-}
-
-SdhResult run_sdh_cross(vgpu::Stream& stream, const PointsSoA& anchors,
-                        const PointsSoA& partners, double bucket_width,
-                        int buckets, int block_size) {
-  return run_sdh_cross_impl(stream_launcher(stream), anchors, partners,
-                            bucket_width, buckets, block_size);
-}
-
-PcfResult run_pcf_cross(vgpu::Device& dev, const PointsSoA& anchors,
-                        const PointsSoA& partners, double radius,
-                        int block_size) {
-  return run_pcf_cross_impl(inline_launcher(dev), anchors, partners, radius,
-                            block_size);
-}
-
-PcfResult run_pcf_cross(vgpu::Stream& stream, const PointsSoA& anchors,
-                        const PointsSoA& partners, double radius,
-                        int block_size) {
-  return run_pcf_cross_impl(stream_launcher(stream), anchors, partners,
-                            radius, block_size);
 }
 
 }  // namespace tbs::kernels

@@ -22,7 +22,6 @@
 #include "common/points.hpp"
 #include "kernels/pcf.hpp"
 #include "kernels/sdh.hpp"
-#include "vgpu/device.hpp"
 #include "vgpu/stream.hpp"
 
 namespace tbs::kernels {
@@ -34,23 +33,12 @@ std::size_t sdh_cross_shared_bytes(int block_size, int buckets);
 /// Histogram of all |A|·|B| cross distances between `anchors` and
 /// `partners`. Both sets must be non-empty; the result histogram geometry
 /// is (bucket_width, buckets), identical to run_sdh's.
-SdhResult run_sdh_cross(vgpu::Device& dev, const PointsSoA& anchors,
-                        const PointsSoA& partners, double bucket_width,
-                        int buckets, int block_size);
-
-/// Stream overload: launches go through `stream` (pooled async blocks),
-/// bit-identical counters to the Device overload.
-SdhResult run_sdh_cross(vgpu::Stream& stream, const PointsSoA& anchors,
+SdhResult run_sdh_cross(vgpu::LaunchTarget target, const PointsSoA& anchors,
                         const PointsSoA& partners, double bucket_width,
                         int buckets, int block_size);
 
 /// Count of cross pairs (a in anchors, b in partners) with dist < radius.
-PcfResult run_pcf_cross(vgpu::Device& dev, const PointsSoA& anchors,
-                        const PointsSoA& partners, double radius,
-                        int block_size);
-
-/// Stream overload of run_pcf_cross (see run_sdh_cross(Stream&, ...)).
-PcfResult run_pcf_cross(vgpu::Stream& stream, const PointsSoA& anchors,
+PcfResult run_pcf_cross(vgpu::LaunchTarget target, const PointsSoA& anchors,
                         const PointsSoA& partners, double radius,
                         int block_size);
 

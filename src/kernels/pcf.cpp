@@ -8,7 +8,6 @@
 
 namespace tbs::kernels {
 
-using vgpu::Device;
 using vgpu::DeviceBuffer;
 using vgpu::DevicePoints;
 using vgpu::KernelStats;
@@ -294,13 +293,8 @@ std::size_t pcf_shared_bytes(PcfVariant v, int block_size) {
   return 0;
 }
 
-namespace {
-
-/// Shared implementation, parameterized over how the launch is issued (see
-/// sdh.cpp: inline Device::launch vs stream enqueue-and-wait).
-template <class Launch>
-PcfResult run_pcf_impl(Launch&& do_launch, const PointsSoA& pts,
-                       double radius, PcfVariant variant, int block_size) {
+PcfResult run_pcf(vgpu::LaunchTarget target, const PointsSoA& pts,
+                  double radius, PcfVariant variant, int block_size) {
   check(!pts.empty(), "run_pcf: empty point set");
   check(radius > 0.0, "run_pcf: radius must be positive");
   check(block_size > 0, "run_pcf: block size must be positive");
@@ -323,7 +317,7 @@ PcfResult run_pcf_impl(Launch&& do_launch, const PointsSoA& pts,
   cfg.shared_bytes = pcf_shared_bytes(variant, block_size);
 
   PcfResult result;
-  result.stats = do_launch(cfg, [&](ThreadCtx& ctx) -> KernelTask {
+  result.stats = target.launch(cfg, [&](ThreadCtx& ctx) -> KernelTask {
     switch (variant) {
       case PcfVariant::Naive: return pcf_naive(ctx, p);
       case PcfVariant::ShmShm: return pcf_shm_shm(ctx, p);
@@ -336,9 +330,8 @@ PcfResult run_pcf_impl(Launch&& do_launch, const PointsSoA& pts,
   return result;
 }
 
-template <class Launch>
-PcfResult run_pcf_warpsum_impl(Launch&& do_launch, const PointsSoA& pts,
-                               double radius, int block_size) {
+PcfResult run_pcf_warpsum(vgpu::LaunchTarget target, const PointsSoA& pts,
+                          double radius, int block_size) {
   check(!pts.empty(), "run_pcf_warpsum: empty point set");
   check(radius > 0.0, "run_pcf_warpsum: radius must be positive");
   check(block_size > 0 && block_size % 32 == 0,
@@ -366,46 +359,9 @@ PcfResult run_pcf_warpsum_impl(Launch&& do_launch, const PointsSoA& pts,
 
   PcfResult result;
   result.stats =
-      do_launch(cfg, [&](ThreadCtx& ctx) { return pcf_warpsum(ctx, p); });
+      target.launch(cfg, [&](ThreadCtx& ctx) { return pcf_warpsum(ctx, p); });
   for (const std::uint32_t c : out.host()) result.pairs_within += c;
   return result;
-}
-
-auto inline_launcher(Device& dev) {
-  return [&dev](const LaunchConfig& cfg, const vgpu::KernelBody& body) {
-    return dev.launch(cfg, body);
-  };
-}
-
-auto stream_launcher(vgpu::Stream& stream) {
-  return [&stream](const LaunchConfig& cfg, const vgpu::KernelBody& body) {
-    return stream.device().launch_async(stream, cfg, body).wait();
-  };
-}
-
-}  // namespace
-
-PcfResult run_pcf(Device& dev, const PointsSoA& pts, double radius,
-                  PcfVariant variant, int block_size) {
-  return run_pcf_impl(inline_launcher(dev), pts, radius, variant,
-                      block_size);
-}
-
-PcfResult run_pcf(vgpu::Stream& stream, const PointsSoA& pts, double radius,
-                  PcfVariant variant, int block_size) {
-  return run_pcf_impl(stream_launcher(stream), pts, radius, variant,
-                      block_size);
-}
-
-PcfResult run_pcf_warpsum(vgpu::Device& dev, const PointsSoA& pts,
-                          double radius, int block_size) {
-  return run_pcf_warpsum_impl(inline_launcher(dev), pts, radius, block_size);
-}
-
-PcfResult run_pcf_warpsum(vgpu::Stream& stream, const PointsSoA& pts,
-                          double radius, int block_size) {
-  return run_pcf_warpsum_impl(stream_launcher(stream), pts, radius,
-                              block_size);
 }
 
 }  // namespace tbs::kernels

@@ -13,7 +13,6 @@
 #include <cstdint>
 
 #include "common/points.hpp"
-#include "vgpu/device.hpp"
 #include "vgpu/stats.hpp"
 #include "vgpu/stream.hpp"
 
@@ -35,25 +34,17 @@ struct PcfResult {
   bool degraded = false;
 };
 
-/// Count pairs of `pts` within `radius` on the simulated device.
-PcfResult run_pcf(vgpu::Device& dev, const PointsSoA& pts, double radius,
-                  PcfVariant variant, int block_size);
-
-/// Stream overload: the launch goes through `stream`, so blocks execute on
-/// the async worker pool. Counters are bit-identical to the Device overload.
-PcfResult run_pcf(vgpu::Stream& stream, const PointsSoA& pts, double radius,
-                  PcfVariant variant, int block_size);
+/// Count pairs of `pts` within `radius` on the simulated device (inline on
+/// a Device, pooled through a Stream; bit-identical counters).
+PcfResult run_pcf(vgpu::LaunchTarget target, const PointsSoA& pts,
+                  double radius, PcfVariant variant, int block_size);
 
 /// Register-SHM pairwise stage + a warp-level butterfly reduction of the
 /// per-thread counts via shuffle-XOR exchanges, so only one lane per warp
 /// writes to global memory (32x fewer output stores). An extension of the
 /// paper's register-content-sharing theme (Sec. IV-E2) to the *output*
 /// stage of Type-I problems.
-PcfResult run_pcf_warpsum(vgpu::Device& dev, const PointsSoA& pts,
-                          double radius, int block_size);
-
-/// Stream overload of run_pcf_warpsum (see run_pcf(Stream&, ...)).
-PcfResult run_pcf_warpsum(vgpu::Stream& stream, const PointsSoA& pts,
+PcfResult run_pcf_warpsum(vgpu::LaunchTarget target, const PointsSoA& pts,
                           double radius, int block_size);
 
 }  // namespace tbs::kernels

@@ -41,21 +41,19 @@ vgpu::KernelStats cpu_stats(int block_size) {
 
 /// Run the CPU SDH pair tile and report host-side stats.
 vgpu::KernelStats cpu_launch_sdh(cpubase::ThreadPool& pool,
-                                 const cpubase::CpuConfig& cfg,
                                  const PointsSoA& pts, const ProblemDesc& d,
                                  int block_size, KernelOutput& out) {
-  Histogram h = cpubase::cpu_sdh_simd(
-      pool, pts, d.bucket_width, static_cast<std::size_t>(d.buckets), cfg);
+  Histogram h = cpubase::cpu_sdh_simd(pool, pts, d.bucket_width,
+                                      static_cast<std::size_t>(d.buckets));
   if (out.hist != nullptr) *out.hist = std::move(h);
   return cpu_stats(block_size);
 }
 
 /// Run the cell-grid CPU PCF and report host-side stats.
 vgpu::KernelStats cpu_launch_pcf(cpubase::ThreadPool& pool,
-                                 const cpubase::CpuConfig& cfg,
                                  const PointsSoA& pts, const ProblemDesc& d,
                                  int block_size, KernelOutput& out) {
-  const std::uint64_t pairs = cpubase::cpu_pcf_grid(pool, pts, d.radius, cfg);
+  const std::uint64_t pairs = cpubase::cpu_pcf_grid(pool, pts, d.radius);
   if (out.pairs != nullptr) *out.pairs = pairs;
   return cpu_stats(block_size);
 }
@@ -215,10 +213,9 @@ KernelVariant make_knn() {
     if (out.neighbours != nullptr) *out.neighbours = std::move(r.neighbours);
     return r.stats;
   };
-  kv.launch_cpu = [](cpubase::ThreadPool& pool, const cpubase::CpuConfig& cfg,
-                     const PointsSoA& pts, const ProblemDesc& d,
-                     int block_size, KernelOutput& out) {
-    auto rows = cpubase::cpu_knn_grid(pool, pts, d.k, cfg);
+  kv.launch_cpu = [](cpubase::ThreadPool& pool, const PointsSoA& pts,
+                     const ProblemDesc& d, int block_size, KernelOutput& out) {
+    auto rows = cpubase::cpu_knn_grid(pool, pts, d.k);
     if (out.neighbours != nullptr) *out.neighbours = std::move(rows);
     return cpu_stats(block_size);
   };
@@ -242,10 +239,9 @@ KernelVariant make_join(JoinVariant v) {
     if (out.join_pairs != nullptr) *out.join_pairs = std::move(r.pairs);
     return r.stats;
   };
-  kv.launch_cpu = [](cpubase::ThreadPool& pool, const cpubase::CpuConfig& cfg,
-                     const PointsSoA& pts, const ProblemDesc& d,
-                     int block_size, KernelOutput& out) {
-    auto pairs = cpubase::cpu_distance_join_grid(pool, pts, d.radius, cfg);
+  kv.launch_cpu = [](cpubase::ThreadPool& pool, const PointsSoA& pts,
+                     const ProblemDesc& d, int block_size, KernelOutput& out) {
+    auto pairs = cpubase::cpu_distance_join_grid(pool, pts, d.radius);
     if (out.join_pairs != nullptr) *out.join_pairs = std::move(pairs);
     return cpu_stats(block_size);
   };
@@ -267,8 +263,7 @@ KernelVariant make_tree_sdh() {
   kv.shared_bytes = [](int /*block_size*/, int /*buckets*/) {
     return std::size_t{0};
   };
-  kv.launch_cpu = [](cpubase::ThreadPool& /*pool*/,
-                     const cpubase::CpuConfig& /*cfg*/, const PointsSoA& pts,
+  kv.launch_cpu = [](cpubase::ThreadPool& /*pool*/, const PointsSoA& pts,
                      const ProblemDesc& d, int block_size, KernelOutput& out) {
     Histogram h = cpubase::tree_sdh(pts, d.bucket_width,
                                     static_cast<std::size_t>(d.buckets));

@@ -27,7 +27,6 @@
 
 namespace tbs::cpubase {
 class ThreadPool;
-struct CpuConfig;
 }  // namespace tbs::cpubase
 
 namespace tbs::kernels {
@@ -147,8 +146,7 @@ struct KernelVariant {
   /// simulated-access fields stay zero, which is what obs::check_drift
   /// keys its "no simulated counters, skip" rule on. Null when the variant
   /// does not declare kBackendCpu.
-  std::function<vgpu::KernelStats(cpubase::ThreadPool&,
-                                  const cpubase::CpuConfig&, const PointsSoA&,
+  std::function<vgpu::KernelStats(cpubase::ThreadPool&, const PointsSoA&,
                                   const ProblemDesc&, int block_size,
                                   KernelOutput&)>
       launch_cpu;

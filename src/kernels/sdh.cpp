@@ -30,17 +30,7 @@ struct SdhParams {
   double width = 1.0;
   int buckets = 1;
   int n = 0;
-  /// Multi-device partitioning: this launch owns blocks with
-  /// block_id % num_owners == owner (round-robin balances the triangular
-  /// inter-block workload across devices).
-  int owner = 0;
-  int num_owners = 1;
 };
-
-/// True when this block belongs to another device's partition.
-bool foreign_block(const SdhParams& p, int block_id) {
-  return block_id % p.num_owners != p.owner;
-}
 
 // ---------------------------------------------------------------------------
 // Direct-output variants (global atomics per pair).
@@ -210,7 +200,6 @@ KernelTask sdh_naive_out(ThreadCtx& ctx, SdhParams p) {
 /// (thread t pairs with (t+j) mod B, uniform B/2 trip count, divergence-
 /// free); requires N to fill the block evenly for the balanced path.
 KernelTask sdh_reg_shm_out(ThreadCtx& ctx, SdhParams p, bool load_balanced) {
-  if (foreign_block(p, ctx.block_id)) co_return;
   const int B = ctx.block_dim;
   const int t = ctx.thread_id;
   const int b = ctx.block_id;
@@ -299,7 +288,6 @@ KernelTask sdh_reg_shm_out(ThreadCtx& ctx, SdhParams p, bool load_balanced) {
 /// Register + ROC pairwise, privatized out — the paper's overall winner for
 /// Type-II (combines both cache systems).
 KernelTask sdh_reg_roc_out(ThreadCtx& ctx, SdhParams p) {
-  if (foreign_block(p, ctx.block_id)) co_return;
   const int B = ctx.block_dim;
   const int t = ctx.thread_id;
   const int b = ctx.block_id;
@@ -584,22 +572,14 @@ std::size_t sdh_shared_bytes(SdhVariant v, int block_size, int buckets) {
   return 0;
 }
 
-namespace {
-
-/// Shared implementation, parameterized over how launches are issued:
-/// `do_launch(cfg, body) -> KernelStats` is either Device::launch (inline
-/// blocks) or an enqueue-and-wait through a Stream (pooled blocks).
-template <class Launch>
-SdhResult run_sdh_impl(Launch&& do_launch, const PointsSoA& pts,
-                       double bucket_width, int buckets, SdhVariant variant,
-                       int block_size, int owner, int num_owners) {
+SdhResult run_sdh(vgpu::LaunchTarget target, const PointsSoA& pts,
+                  double bucket_width, int buckets, SdhVariant variant,
+                  int block_size) {
   check(!pts.empty(), "run_sdh: empty point set");
   check(buckets > 0, "run_sdh: need at least one bucket");
   check(bucket_width > 0.0, "run_sdh: bucket width must be positive");
   check(block_size > 0 && block_size % 2 == 0,
         "run_sdh: block size must be positive and even");
-  check(num_owners >= 1 && owner >= 0 && owner < num_owners,
-        "run_sdh: bad device partition");
 
   const int n = static_cast<int>(pts.size());
   const int grid = (n + block_size - 1) / block_size;
@@ -618,8 +598,6 @@ SdhResult run_sdh_impl(Launch&& do_launch, const PointsSoA& pts,
   p.width = bucket_width;
   p.buckets = buckets;
   p.n = n;
-  p.owner = owner;
-  p.num_owners = num_owners;
 
   LaunchConfig cfg;
   cfg.grid_dim = grid;
@@ -641,13 +619,13 @@ SdhResult run_sdh_impl(Launch&& do_launch, const PointsSoA& pts,
     }
     fail("run_sdh: unknown variant");
   };
-  KernelStats stats = do_launch(cfg, body);
+  KernelStats stats = target.launch(cfg, body);
 
   if (is_privatized(variant)) {
     LaunchConfig rcfg;
     rcfg.grid_dim = (buckets + block_size - 1) / block_size;
     rcfg.block_dim = block_size;
-    const KernelStats rstats = do_launch(rcfg, [&](ThreadCtx& ctx) {
+    const KernelStats rstats = target.launch(rcfg, [&](ThreadCtx& ctx) {
       return sdh_reduce(ctx, p, grid);
     });
     stats.merge(rstats);
@@ -659,59 +637,6 @@ SdhResult run_sdh_impl(Launch&& do_launch, const PointsSoA& pts,
     result.hist.set_count(static_cast<std::size_t>(h),
                           out.host()[static_cast<std::size_t>(h)]);
   return result;
-}
-
-/// Launcher running blocks inline on the calling thread.
-auto inline_launcher(Device& dev) {
-  return [&dev](const LaunchConfig& cfg, const vgpu::KernelBody& body) {
-    return dev.launch(cfg, body);
-  };
-}
-
-/// Launcher enqueueing on a stream and waiting, so blocks run pooled.
-auto stream_launcher(vgpu::Stream& stream) {
-  return [&stream](const LaunchConfig& cfg, const vgpu::KernelBody& body) {
-    return stream.device().launch_async(stream, cfg, body).wait();
-  };
-}
-
-void check_partition_variant(SdhVariant variant) {
-  check(variant == SdhVariant::RegShmOut || variant == SdhVariant::RegRocOut,
-        "run_sdh_partitioned: only privatized Reg-SHM-Out / Reg-ROC-Out "
-        "support device partitioning");
-}
-
-}  // namespace
-
-SdhResult run_sdh(Device& dev, const PointsSoA& pts, double bucket_width,
-                  int buckets, SdhVariant variant, int block_size) {
-  return run_sdh_impl(inline_launcher(dev), pts, bucket_width, buckets,
-                      variant, block_size, /*owner=*/0, /*num_owners=*/1);
-}
-
-SdhResult run_sdh(vgpu::Stream& stream, const PointsSoA& pts,
-                  double bucket_width, int buckets, SdhVariant variant,
-                  int block_size) {
-  return run_sdh_impl(stream_launcher(stream), pts, bucket_width, buckets,
-                      variant, block_size, /*owner=*/0, /*num_owners=*/1);
-}
-
-SdhResult run_sdh_partitioned(Device& dev, const PointsSoA& pts,
-                              double bucket_width, int buckets,
-                              SdhVariant variant, int block_size, int owner,
-                              int num_owners) {
-  check_partition_variant(variant);
-  return run_sdh_impl(inline_launcher(dev), pts, bucket_width, buckets,
-                      variant, block_size, owner, num_owners);
-}
-
-SdhResult run_sdh_partitioned(vgpu::Stream& stream, const PointsSoA& pts,
-                              double bucket_width, int buckets,
-                              SdhVariant variant, int block_size, int owner,
-                              int num_owners) {
-  check_partition_variant(variant);
-  return run_sdh_impl(stream_launcher(stream), pts, bucket_width, buckets,
-                      variant, block_size, owner, num_owners);
 }
 
 SdhResult run_sdh_private_copies(Device& dev, const PointsSoA& pts,

@@ -18,7 +18,6 @@
 
 #include "common/histogram.hpp"
 #include "common/points.hpp"
-#include "vgpu/device.hpp"
 #include "vgpu/stats.hpp"
 #include "vgpu/stream.hpp"
 
@@ -53,38 +52,17 @@ struct SdhResult {
   bool degraded = false;
 };
 
-/// Compute the SDH of `pts` on the simulated device.
+/// Compute the SDH of `pts` on the simulated device: inline on a Device,
+/// or with blocks on the worker pool through a Stream (bit-identical
+/// counters either way).
 ///
 /// `bucket_width` and `buckets` define the histogram geometry (distances
 /// beyond the last bucket clamp into it). `block_size` is both the CUDA
 /// block size and the tile size B, as in the paper. N need not be a
 /// multiple of B; ragged tails are bounds-checked in the kernels.
-SdhResult run_sdh(vgpu::Device& dev, const PointsSoA& pts,
+SdhResult run_sdh(vgpu::LaunchTarget target, const PointsSoA& pts,
                   double bucket_width, int buckets, SdhVariant variant,
                   int block_size);
-
-/// Stream overload: launches go through `stream`, so blocks execute on the
-/// async worker pool. Counters are bit-identical to the Device overload
-/// (the executor's determinism contract, pinned by the runtime tests).
-SdhResult run_sdh(vgpu::Stream& stream, const PointsSoA& pts,
-                  double bucket_width, int buckets, SdhVariant variant,
-                  int block_size);
-
-/// Partition-aware SDH for multi-device execution (paper Sec. V future
-/// work): computes only the blocks with block_id % num_owners == owner.
-/// Round-robin ownership balances the triangular inter-block workload.
-/// Partial histograms from all owners sum to the full SDH (see
-/// kernels/multi.hpp for the orchestration).
-SdhResult run_sdh_partitioned(vgpu::Device& dev, const PointsSoA& pts,
-                              double bucket_width, int buckets,
-                              SdhVariant variant, int block_size, int owner,
-                              int num_owners);
-
-/// Stream overload of run_sdh_partitioned (see run_sdh(Stream&, ...)).
-SdhResult run_sdh_partitioned(vgpu::Stream& stream, const PointsSoA& pts,
-                              double bucket_width, int buckets,
-                              SdhVariant variant, int block_size, int owner,
-                              int num_owners);
 
 /// Ablation of the paper's "one private copy per block" decision
 /// (Sec. IV-C: "We tested more private copies per block and found that it

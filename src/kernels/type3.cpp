@@ -10,7 +10,6 @@
 
 namespace tbs::kernels {
 
-using vgpu::Device;
 using vgpu::DeviceBuffer;
 using vgpu::DevicePoints;
 using vgpu::KernelStats;
@@ -159,14 +158,19 @@ KernelTask gram_kernel(ThreadCtx& ctx, GramParams p) {
   }
 }
 
-/// Shared implementations, parameterized over how launches are issued (the
-/// same idiom as sdh.cpp): `do_launch(cfg, body) -> KernelStats` is either
-/// Device::launch (inline blocks) or enqueue-and-wait through a Stream
-/// (pooled blocks).
-template <class Launch>
-JoinResult run_distance_join_impl(Launch&& do_launch, const PointsSoA& pts,
-                                  double radius, JoinVariant variant,
-                                  int block_size) {
+}  // namespace
+
+const char* to_string(JoinVariant v) {
+  switch (v) {
+    case JoinVariant::GlobalCursor: return "global-cursor";
+    case JoinVariant::TwoPhase: return "two-phase";
+  }
+  return "?";
+}
+
+JoinResult run_distance_join(vgpu::LaunchTarget target, const PointsSoA& pts,
+                             double radius, JoinVariant variant,
+                             int block_size) {
   check(!pts.empty(), "run_distance_join: empty point set");
   check(radius > 0.0, "run_distance_join: radius must be positive");
   const int n = static_cast<int>(pts.size());
@@ -196,7 +200,7 @@ JoinResult run_distance_join_impl(Launch&& do_launch, const PointsSoA& pts,
     p.out_j = &out_j;
     p.cursor = &cursor;
     p.capacity = cap;
-    result.stats = do_launch(cfg, [&](ThreadCtx& ctx) {
+    result.stats = target.launch(cfg, [&](ThreadCtx& ctx) {
       return join_kernel(ctx, p, JoinMode::EmitCursor);
     });
     const std::uint32_t emitted = cursor.host()[0];
@@ -208,7 +212,7 @@ JoinResult run_distance_join_impl(Launch&& do_launch, const PointsSoA& pts,
     // Phase 1: count per thread.
     DeviceBuffer<std::uint32_t> counts(static_cast<std::size_t>(n), 0);
     p.counts = &counts;
-    result.stats = do_launch(cfg, [&](ThreadCtx& ctx) {
+    result.stats = target.launch(cfg, [&](ThreadCtx& ctx) {
       return join_kernel(ctx, p, JoinMode::Count);
     });
     // Host-side exclusive prefix sum (cheap: O(N)).
@@ -224,7 +228,7 @@ JoinResult run_distance_join_impl(Launch&& do_launch, const PointsSoA& pts,
     p.out_i = &out_i;
     p.out_j = &out_j;
     p.offsets = &offsets;
-    const KernelStats phase2 = do_launch(cfg, [&](ThreadCtx& ctx) {
+    const KernelStats phase2 = target.launch(cfg, [&](ThreadCtx& ctx) {
       return join_kernel(ctx, p, JoinMode::EmitSliced);
     });
     result.stats.merge(phase2);
@@ -235,9 +239,8 @@ JoinResult run_distance_join_impl(Launch&& do_launch, const PointsSoA& pts,
   return result;
 }
 
-template <class Launch>
-GramResult run_gram_impl(Launch&& do_launch, const PointsSoA& pts,
-                         double gamma, int block_size) {
+GramResult run_gram(vgpu::LaunchTarget target, const PointsSoA& pts,
+                    double gamma, int block_size) {
   check(!pts.empty(), "run_gram: empty point set");
   const int n = static_cast<int>(pts.size());
   const int grid = (n + block_size - 1) / block_size;
@@ -255,57 +258,9 @@ GramResult run_gram_impl(Launch&& do_launch, const PointsSoA& pts,
 
   GramResult result;
   result.stats =
-      do_launch(cfg, [&](ThreadCtx& ctx) { return gram_kernel(ctx, p); });
+      target.launch(cfg, [&](ThreadCtx& ctx) { return gram_kernel(ctx, p); });
   result.matrix.assign(out.host().begin(), out.host().end());
   return result;
-}
-
-/// Launcher running blocks inline on the calling thread.
-auto inline_launcher(Device& dev) {
-  return [&dev](const LaunchConfig& cfg, const vgpu::KernelBody& body) {
-    return dev.launch(cfg, body);
-  };
-}
-
-/// Launcher enqueueing on a stream and waiting, so blocks run pooled.
-auto stream_launcher(vgpu::Stream& stream) {
-  return [&stream](const LaunchConfig& cfg, const vgpu::KernelBody& body) {
-    return stream.device().launch_async(stream, cfg, body).wait();
-  };
-}
-
-}  // namespace
-
-const char* to_string(JoinVariant v) {
-  switch (v) {
-    case JoinVariant::GlobalCursor: return "global-cursor";
-    case JoinVariant::TwoPhase: return "two-phase";
-  }
-  return "?";
-}
-
-JoinResult run_distance_join(Device& dev, const PointsSoA& pts,
-                             double radius, JoinVariant variant,
-                             int block_size) {
-  return run_distance_join_impl(inline_launcher(dev), pts, radius, variant,
-                                block_size);
-}
-
-JoinResult run_distance_join(vgpu::Stream& stream, const PointsSoA& pts,
-                             double radius, JoinVariant variant,
-                             int block_size) {
-  return run_distance_join_impl(stream_launcher(stream), pts, radius,
-                                variant, block_size);
-}
-
-GramResult run_gram(Device& dev, const PointsSoA& pts, double gamma,
-                    int block_size) {
-  return run_gram_impl(inline_launcher(dev), pts, gamma, block_size);
-}
-
-GramResult run_gram(vgpu::Stream& stream, const PointsSoA& pts, double gamma,
-                    int block_size) {
-  return run_gram_impl(stream_launcher(stream), pts, gamma, block_size);
 }
 
 }  // namespace tbs::kernels

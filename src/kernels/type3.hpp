@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/points.hpp"
-#include "vgpu/device.hpp"
 #include "vgpu/stats.hpp"
 #include "vgpu/stream.hpp"
 
@@ -33,19 +32,16 @@ struct JoinResult {
 };
 
 /// Distance join: emit all pairs with dist < radius into global memory.
-JoinResult run_distance_join(vgpu::Device& dev, const PointsSoA& pts,
-                             double radius, JoinVariant variant,
-                             int block_size);
-
-/// Stream overload: launches go through `stream`, so blocks execute on the
-/// async worker pool. TwoPhase emits into precomputed exclusive slices, so
-/// pairs *and* counters are bit-identical to the Device overload.
-/// GlobalCursor consumes the returned old value of a contended atomic
-/// cursor, so pooled block scheduling permutes emission order: the pair
-/// *set* and per-thread operation counts are identical, but pair order and
-/// the traffic/coalescing counters (which depend on the emitted addresses)
-/// are not — the same caveat as on real hardware.
-JoinResult run_distance_join(vgpu::Stream& stream, const PointsSoA& pts,
+///
+/// Through a Stream the blocks run on the worker pool. TwoPhase emits into
+/// precomputed exclusive slices, so pairs *and* counters are bit-identical
+/// to an inline Device launch. GlobalCursor consumes the returned old value
+/// of a contended atomic cursor, so pooled block scheduling permutes
+/// emission order: the pair *set* and per-thread operation counts are
+/// identical, but pair order and the traffic/coalescing counters (which
+/// depend on the emitted addresses) are not — the same caveat as on real
+/// hardware.
+JoinResult run_distance_join(vgpu::LaunchTarget target, const PointsSoA& pts,
                              double radius, JoinVariant variant,
                              int block_size);
 
@@ -56,13 +52,9 @@ struct GramResult {
 
 /// RBF Gram matrix K[i,j] = exp(-gamma * |p_i - p_j|^2). Output is written
 /// transposed per-thread so warp stores coalesce (the matrix is symmetric,
-/// so the result is identical).
-GramResult run_gram(vgpu::Device& dev, const PointsSoA& pts, double gamma,
-                    int block_size);
-
-/// Stream overload of run_gram: disjoint stores only, so the matrix and
-/// counters are bit-identical to the Device overload.
-GramResult run_gram(vgpu::Stream& stream, const PointsSoA& pts, double gamma,
-                    int block_size);
+/// so the result is identical). Disjoint stores only, so the matrix and
+/// counters are bit-identical inline and pooled.
+GramResult run_gram(vgpu::LaunchTarget target, const PointsSoA& pts,
+                    double gamma, int block_size);
 
 }  // namespace tbs::kernels

@@ -26,7 +26,7 @@ Profiler::~Profiler() { dev_->set_launch_observer(nullptr); }
 void Profiler::on_launch(const vgpu::LaunchRecord& rec) {
   if (tracer_ != nullptr && tracer_->enabled()) {
     // The launch just finished; reconstruct its interval from wall time so
-    // it lands nested under whatever span the draining thread has open.
+    // it lands nested under whatever span the issuing thread has open.
     const auto now = Tracer::Clock::now();
     const auto start =
         now - std::chrono::duration_cast<Tracer::Clock::duration>(

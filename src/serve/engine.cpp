@@ -203,7 +203,7 @@ QueryEngine::QueryEngine(Config cfg)
     if (d < cfg_.faults.size())
       slots_.back()->dev.set_fault_plan(cfg_.faults[d]);
     // Per-launch hook: count into the engine registry and, when tracing,
-    // emit a vgpu.launch span. The callback runs on the thread that drains
+    // emit a vgpu.launch span. The callback runs on the thread that issued
     // the launch — a worker inside its serve.execute span, or a shard lane
     // thread under its ScopedTraceContext — so the thread's current trace
     // context is exactly the owning query's, and the launch span joins its
@@ -1205,9 +1205,11 @@ void QueryEngine::refresh_gauges(const EngineStats& s) const {
         .set(static_cast<double>(slo_.error_breaches()));
   }
   // Per-backend health: `backend.gpu<d>.*` pairs the device-wide launch
-  // count with the persistent shard-lane backend's fault/staging counters;
-  // `backend.cpu<i>.*` reads the CPU worker's backend directly. Counter
-  // reads take the same launch lock launch_count() does.
+  // and fault counts (the device's injector sees the launches of every
+  // worker lane, the shard lane and calibration) with the shard-lane
+  // backend's staging counter; `backend.cpu<i>.*` reads the CPU worker's
+  // backend directly. Counter reads take the same launch lock
+  // launch_count() does.
   for (std::size_t d = 0; d < slots_.size(); ++d) {
     backend::Counters bc;
     std::uint64_t dev_launches = 0;

@@ -16,8 +16,8 @@
 //       (backpressure)               fulfill every attached promise
 //
 // Results are deterministic: every kernel the engine dispatches is
-// bit-identical between pooled/async and inline execution (the PR 1
-// runtime contract), so an 8-client concurrent run returns exactly what
+// bit-identical between pooled and inline execution (the vgpu runtime
+// contract), so an 8-client concurrent run returns exactly what
 // the same queries produce sequentially through TwoBodyFramework. The one
 // caveat is inherited from the kernels, not the engine: a GlobalCursor
 // join's pair *order* is scheduling-dependent (its pair set is not).

@@ -108,8 +108,8 @@ struct Report {
   /// each cost its lane and was re-executed on an independent one.
   std::uint64_t integrity_violations = 0;
   std::size_t staged_bytes = 0;
-  /// What a replicate-everywhere schedule (kernels/multi.hpp) would have
-  /// moved for the same lane count: lanes_used x the full dataset.
+  /// What copying the whole dataset to every lane would have moved: the
+  /// lane count x the full dataset.
   std::size_t replicated_bytes = 0;
   std::string variant_name;
   std::vector<TileSpan> spans;  ///< tile-id order, one entry per tile

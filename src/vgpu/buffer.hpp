@@ -60,8 +60,7 @@ class DeviceBuffer {
 
   [[nodiscard]] std::size_t size() const noexcept { return data_.size(); }
 
-  /// Host-side view (valid only between launches — including queued async
-  /// launches: drain the stream before reading what a kernel wrote).
+  /// Host-side view (valid only between launches).
   [[nodiscard]] std::span<T> host() noexcept { return data_; }
   [[nodiscard]] std::span<const T> host() const noexcept { return data_; }
 

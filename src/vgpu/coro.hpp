@@ -2,8 +2,8 @@
 //
 // A kernel is any callable returning KernelTask; the executor owns the
 // coroutine handle and resumes it lane-by-lane. Each lane's coroutine is
-// resumed by exactly one executor thread; under the async stream runtime
-// different *blocks* may execute on different pool workers, but the blocks
+// resumed by exactly one executor thread; on a stream launch different
+// *blocks* may execute on different pool workers, but the blocks
 // of a launch never share coroutine state, and the snapshot/replay contract
 // in device.cpp keeps results deterministic either way.
 #pragma once

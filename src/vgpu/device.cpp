@@ -10,7 +10,7 @@
 // each instruction it issues plus the max-over-lanes arithmetic between
 // suspension points — so divergence (lanes with longer loops) lengthens the
 // warp's serial time exactly as it does on real SIMT hardware.
-// Launch semantics (shared by Device::launch and the async stream path):
+// Launch semantics (shared by Device::launch and Stream::launch):
 // every block executes against a private copy of the L2 state taken at
 // launch entry — on real hardware blocks race, so no block may depend on
 // another's fills — and each block logs its device-visible side effects
@@ -543,8 +543,8 @@ class BlockExecutor {
   double pending_control_max_ = 0.0;
 };
 
-/// Pool workers executing the blocks of draining async launches. Created
-/// once, lazily; size requested via set_async_worker_count before first use.
+/// Pool workers executing the blocks of stream launches. Created once,
+/// lazily; size requested via set_async_worker_count before first use.
 unsigned& requested_async_workers() {
   static unsigned count = 0;  // 0 = hardware concurrency
   return count;
@@ -568,32 +568,18 @@ Device::Device(DeviceSpec spec)
     : spec_(std::move(spec)),
       l2_(spec_.l2_bytes, spec_.l2_ways, spec_.line_bytes) {}
 
-void Device::validate_launch(const LaunchConfig& cfg) const {
+KernelStats Device::launch(const LaunchConfig& cfg, const KernelBody& body) {
+  return execute_launch(cfg, body, /*pooled=*/false);
+}
+
+KernelStats Device::execute_launch(const LaunchConfig& cfg,
+                                   const KernelBody& body, bool pooled) {
   check(cfg.grid_dim > 0, "launch: grid_dim must be positive");
   check(cfg.block_dim > 0 &&
             cfg.block_dim <= spec_.max_threads_per_block,
         "launch: block_dim out of range");
   check(cfg.shared_bytes <= spec_.shared_mem_per_block_cap,
         "launch: shared_bytes exceeds per-block cap");
-}
-
-KernelStats Device::launch(const LaunchConfig& cfg, const KernelBody& body) {
-  return execute_launch(cfg, body, /*pooled=*/false);
-}
-
-Event Device::launch_async(Stream& stream, const LaunchConfig& cfg,
-                           KernelBody body) {
-  check(&stream.device() == this,
-        "launch_async: stream is bound to a different device");
-  validate_launch(cfg);
-  auto state = std::make_shared<detail::EventState>();
-  stream.queue_.push_back(Stream::Record{cfg, std::move(body), state});
-  return Event{std::move(state), &stream};
-}
-
-KernelStats Device::execute_launch(const LaunchConfig& cfg,
-                                   const KernelBody& body, bool pooled) {
-  validate_launch(cfg);
   // Chaos hook: may stall the launch or throw a typed DeviceError before
   // anything executes — the device is left exactly as it was.
   if (fault_) fault_->on_launch_begin();

@@ -17,7 +17,7 @@
 namespace tbs::vgpu {
 
 class Stream;
-class Event;
+class LaunchTarget;
 
 /// Factory invoked once per simulated thread; returns the lane's coroutine.
 /// Typical use: a lambda capturing the kernel's buffers by reference.
@@ -32,11 +32,10 @@ struct LaunchRecord {
   const KernelStats* stats = nullptr;
   double wall_seconds = 0.0;      ///< host wall time spent simulating
   std::uint64_t launch_index = 0; ///< launch_count() after this launch
-  bool pooled = false;            ///< ran via the async stream path
+  bool pooled = false;            ///< issued through a Stream (pooled)
 };
 
-/// Per-launch callback. Invoked on the thread that drained the launch
-/// (inline for Device::launch, the waiting thread for stream launches),
+/// Per-launch callback. Invoked on the thread that issued the launch,
 /// after the launch's counters are final and launch_count() is updated.
 using LaunchObserver = std::function<void(const LaunchRecord&)>;
 
@@ -44,8 +43,8 @@ using LaunchObserver = std::function<void(const LaunchRecord&)>;
 /// against a private snapshot of the L2 state taken at launch entry, and
 /// block effects are replayed into the device in block-id order afterwards
 /// — so counters are a pure function of (device state, config, body),
-/// identical whether blocks run inline (`launch`) or on the async worker
-/// pool (`launch_async` + Stream). The *cost model* accounts for blocks as
+/// identical whether blocks run inline (`launch`) or on the worker pool
+/// (`Stream::launch`). The *cost model* accounts for blocks as
 /// if they ran concurrently across SMs (see perfmodel::KernelTimeModel).
 class Device {
  public:
@@ -61,19 +60,11 @@ class Device {
   /// kernel body throws.
   KernelStats launch(const LaunchConfig& cfg, const KernelBody& body);
 
-  /// Enqueue a launch on `stream` (which must be bound to this device) and
-  /// return its completion Event. Configuration errors throw eagerly, here;
-  /// execution happens when the stream drains, with blocks scheduled onto
-  /// the shared worker pool. See stream.hpp for the determinism contract.
-  Event launch_async(Stream& stream, const LaunchConfig& cfg,
-                     KernelBody body);
-
   /// Drop all cached lines in L2 (e.g. between unrelated experiments).
   void flush_caches() { l2_.invalidate(); }
 
-  /// Kernel launches executed so far (async launches count when they run,
-  /// not when they enqueue). The plan cache's "no recalibration" tests key
-  /// off this counter.
+  /// Kernel launches executed so far. The plan cache's "no
+  /// recalibration" tests key off this counter.
   [[nodiscard]] std::uint64_t launch_count() const noexcept {
     return launches_done_;
   }
@@ -90,7 +81,7 @@ class Device {
   }
 
   /// Install a chaos schedule on this device: every subsequent launch
-  /// (inline or async) runs through a FaultInjector executing `plan`.
+  /// (inline or pooled) runs through a FaultInjector executing `plan`.
   /// A plan with no knobs enabled removes injection. Injected failures
   /// leave the device bit-identical to never having launched (no L2
   /// replay, no launch_count() bump, no observer callback).
@@ -111,8 +102,8 @@ class Device {
 
  private:
   friend class Stream;
+  friend class LaunchTarget;
 
-  void validate_launch(const LaunchConfig& cfg) const;
   KernelStats execute_launch(const LaunchConfig& cfg, const KernelBody& body,
                              bool pooled);
 

@@ -66,7 +66,7 @@ class DeviceLostError : public DeviceError {
       : DeviceError(msg, /*transient=*/false) {}
 };
 
-/// Declarative chaos schedule for one Device or Stream. All probabilities
+/// Declarative chaos schedule for one Device. All probabilities
 /// are per launch attempt and independent; the default plan injects
 /// nothing.
 struct FaultPlan {

@@ -1,69 +1,26 @@
-// Stream / Event — CUDA-style in-order launch queues over the simulated
-// device.
+// Stream — a lane onto one simulated device whose launches run their
+// blocks on a shared worker pool — and LaunchTarget, the one parameter
+// type every kernel entry point takes.
 //
-// A Stream is a FIFO of kernel launches enqueued with
-// `Device::launch_async`. Work executes lazily: the queue drains when an
-// Event is waited on or the stream synchronizes. While a launch drains, its
-// blocks are fanned out onto a shared worker pool (see
-// `set_async_worker_count`), yet the returned `KernelStats` are bit-identical
-// to the sequential `Device::launch` path — see device.cpp for the per-block
-// L2 snapshot + block-order replay contract that makes this hold.
+// A Stream launch runs at once and returns its counters. Its blocks are
+// fanned out onto the pool (see `set_async_worker_count`), yet the counters
+// are bit-identical to `Device::launch`, which runs the blocks inline on
+// the calling thread — see device.cpp for the per-block L2 snapshot +
+// block-order replay contract that makes this hold.
 //
 // Determinism contract: functional results are deterministic for kernels
 // whose cross-block global-memory traffic is commutative-exact (integer
 // atomics, disjoint stores) and which do not consume the *returned* old
-// value of contended atomics — true of every SDH/PCF variant. Host-side use
-// is single-threaded per stream (like a CUDA stream driven from one host
-// thread); several Streams on one Device may be interleaved from one thread.
+// value of contended atomics — true of every SDH/PCF variant. A stream is
+// driven from one host thread at a time, like a CUDA stream.
 #pragma once
-
-#include <cstddef>
-#include <deque>
-#include <exception>
-#include <memory>
 
 #include "vgpu/device.hpp"
 
 namespace tbs::vgpu {
 
-namespace detail {
-
-/// Shared completion record for one asynchronous launch.
-struct EventState {
-  bool done = false;
-  KernelStats stats;
-  std::exception_ptr error;
-};
-
-}  // namespace detail
-
-/// Completion handle for one `Device::launch_async` call (the CUDA-event
-/// analogue). Copyable; all copies observe the same launch.
-class Event {
- public:
-  Event() = default;
-
-  /// True once the launch has executed (successfully or not).
-  [[nodiscard]] bool ready() const noexcept {
-    return state_ != nullptr && state_->done;
-  }
-
-  /// Drain the owning stream up to (and including) this launch, then return
-  /// its counters. Rethrows anything the kernel body threw. Waiting on a
-  /// default-constructed Event fails the check.
-  const KernelStats& wait();
-
- private:
-  friend class Device;
-
-  Event(std::shared_ptr<detail::EventState> state, Stream* stream)
-      : state_(std::move(state)), stream_(stream) {}
-
-  std::shared_ptr<detail::EventState> state_;
-  Stream* stream_ = nullptr;
-};
-
-/// An in-order launch queue bound to one Device.
+/// A launch lane bound to one Device: one launch at a time, its blocks on
+/// the worker pool.
 class Stream {
  public:
   explicit Stream(Device& device) : dev_(&device) {}
@@ -73,55 +30,44 @@ class Stream {
 
   [[nodiscard]] Device& device() const noexcept { return *dev_; }
 
-  /// Launches enqueued but not yet executed.
-  [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
-
-  /// Install a chaos schedule scoped to this stream: launches draining
-  /// through it run the injector's hooks in addition to any device-level
-  /// plan. A stream fault poisons the rest of the queue exactly like an
-  /// organic launch failure (in-order semantics). A plan with no knobs
-  /// enabled removes injection.
-  void set_fault_plan(const FaultPlan& plan) {
-    fault_ = plan.enabled() ? std::make_unique<FaultInjector>(plan) : nullptr;
+  /// Run one launch with its blocks on the worker pool and return its
+  /// counters. Throws exactly as Device::launch does.
+  KernelStats launch(const LaunchConfig& cfg, const KernelBody& body) {
+    return dev_->execute_launch(cfg, body, /*pooled=*/true);
   }
-
-  /// The stream-scoped injector (nullptr when none is configured).
-  [[nodiscard]] const FaultInjector* fault_injector() const noexcept {
-    return fault_.get();
-  }
-
-  /// Execute every pending launch in order. Returns the merged counters of
-  /// all launches completed on this stream since the previous synchronize()
-  /// call (including ones already drained through Event::wait). Rethrows
-  /// the first failure; launches queued behind a failed one are poisoned
-  /// with the same error (in-order semantics: they may depend on it).
-  KernelStats synchronize();
 
  private:
-  friend class Device;
-  friend class Event;
-
-  struct Record {
-    LaunchConfig cfg;
-    KernelBody body;
-    std::shared_ptr<detail::EventState> state;
-  };
-
-  /// Execute queued launches FIFO until `target` completes (nullptr = all).
-  void drain_until(const detail::EventState* target);
-
   Device* dev_;
-  std::deque<Record> queue_;
-  KernelStats accumulated_;  ///< merged stats since last synchronize()
-  std::unique_ptr<FaultInjector> fault_;  ///< stream-scoped chaos (or null)
 };
 
-/// Set how many pool workers execute the blocks of draining async launches
+/// Where a kernel's launches run: a Device& runs blocks inline on the
+/// calling thread, a Stream& runs them on the worker pool. Both convert
+/// implicitly, so each kernel entry point has one definition serving both,
+/// with bit-identical counters.
+class LaunchTarget {
+ public:
+  // Implicit on purpose: call sites pass a Device& or a Stream& as is.
+  LaunchTarget(Device& device) noexcept : dev_(&device) {}
+  LaunchTarget(Stream& stream) noexcept
+      : dev_(&stream.device()), pooled_(true) {}
+
+  [[nodiscard]] Device& device() const noexcept { return *dev_; }
+
+  KernelStats launch(const LaunchConfig& cfg, const KernelBody& body) const {
+    return dev_->execute_launch(cfg, body, pooled_);
+  }
+
+ private:
+  Device* dev_;
+  bool pooled_ = false;
+};
+
+/// Set how many pool workers execute the blocks of stream launches
 /// (0 = hardware concurrency, at least 1). Only effective before the first
-/// async launch of the process — the pool is created once, on first use.
+/// stream launch of the process — the pool is created once, on first use.
 void set_async_worker_count(unsigned n);
 
-/// Worker count of the async executor pool (creates the pool on first call).
+/// Worker count of the stream launch pool (creates the pool on first call).
 unsigned async_worker_count();
 
 }  // namespace tbs::vgpu

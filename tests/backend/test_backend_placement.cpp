@@ -9,6 +9,7 @@
 
 #include <string>
 #include <thread>
+#include <vector>
 
 #ifdef __linux__
 #include <sched.h>
@@ -173,6 +174,60 @@ TEST_F(BackendPlacement, PlanCacheKeysOnTheBackendSet) {
   (void)core::plan(both, sample, desc, 50000.0, &cache);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(vgpu_be_.counters().launches, launches);
+}
+
+TEST(VgpuBackendLaunchMode, EveryLaunchRunsPooledExceptKnn) {
+  // The mode each launch runs in is part of the contract: every vgpu
+  // launch through the backend runs its blocks on the worker pool, except
+  // kNN's, whose registry functor launches inline on the device.
+  vgpu::Device dev;
+  std::vector<bool> pooled;
+  dev.set_launch_observer([&pooled](const vgpu::LaunchRecord& rec) {
+    pooled.push_back(rec.pooled);
+  });
+  backend::VgpuBackend be(dev);
+  const PointsSoA pts = uniform_box(300, 10.0f, /*seed=*/61);
+  const kernels::ProblemDesc sdh =
+      kernels::ProblemDesc::sdh(pts.max_possible_distance() / 32 + 1e-4, 32);
+  const kernels::ProblemDesc pcf = kernels::ProblemDesc::pcf(1.5);
+  const auto desc_for = [&](kernels::ProblemType t) {
+    switch (t) {
+      case kernels::ProblemType::Sdh: return sdh;
+      case kernels::ProblemType::Pcf: return pcf;
+      case kernels::ProblemType::Knn: return kernels::ProblemDesc::knn(4);
+      case kernels::ProblemType::Join: return kernels::ProblemDesc::join(1.5);
+    }
+    return sdh;
+  };
+  const auto expect_mode = [&](bool want, const std::string& what) {
+    ASSERT_FALSE(pooled.empty()) << what;
+    for (const bool p : pooled) EXPECT_EQ(p, want) << what;
+    pooled.clear();
+  };
+
+  int launched = 0;
+  for (const kernels::KernelVariant& v :
+       kernels::KernelRegistry::instance().variants()) {
+    if (!v.supports(kernels::kBackendVgpu)) continue;
+    kernels::KernelOutput out;
+    (void)be.launch(v, pts, desc_for(v.problem), 64, out);
+    expect_mode(v.problem != kernels::ProblemType::Knn, v.name);
+    ++launched;
+  }
+  EXPECT_EQ(launched, 16);  // 8 SDH + 4 PCF + warpsum + kNN + 2 joins
+
+  const PointsSoA partners = uniform_box(200, 10.0f, /*seed=*/62);
+  for (const kernels::ProblemDesc& desc : {sdh, pcf}) {
+    kernels::KernelOutput out;
+    (void)be.launch_cross(pts, partners, desc, 64, out);
+    expect_mode(true, "launch_cross");
+  }
+
+  (void)be.estimate(
+      kernels::KernelRegistry::instance().baseline(kernels::ProblemType::Sdh),
+      pts, sdh, 64, 4096.0);
+  EXPECT_EQ(pooled.size(), 6u);  // 3 calibration sizes x (main + reduce)
+  expect_mode(true, "estimate");
 }
 
 #ifdef __linux__

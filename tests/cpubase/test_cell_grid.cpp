@@ -246,12 +246,10 @@ TEST(CellGrid, EveryPoolSizeAgrees) {
   for (const unsigned workers : {1u, 2u, 3u}) {
     SCOPED_TRACE(workers);
     ThreadPool pool(workers);
-    CpuConfig cfg;
-    cfg.chunk = 7;  // many chunks, so workers interleave
-    EXPECT_EQ(cpu_pcf_grid(pool, pts, 2.0, cfg), cpu_pcf_tiled(pool, pts, 2.0));
-    EXPECT_EQ(sorted(cpu_distance_join_grid(pool, pts, 2.0, cfg)),
+    EXPECT_EQ(cpu_pcf_grid(pool, pts, 2.0), cpu_pcf_tiled(pool, pts, 2.0));
+    EXPECT_EQ(sorted(cpu_distance_join_grid(pool, pts, 2.0)),
               sorted(cpu_distance_join(pool, pts, 2.0)));
-    EXPECT_EQ(cpu_knn_grid(pool, pts, 5, cfg), cpu_knn(pool, pts, 5));
+    EXPECT_EQ(cpu_knn_grid(pool, pts, 5), cpu_knn(pool, pts, 5));
   }
 }
 

@@ -42,20 +42,6 @@ TEST(CpuSdh, TotalIsAllPairs) {
   EXPECT_EQ(cpu_sdh(pool, pts, 1.0, 20).total(), n * (n - 1) / 2);
 }
 
-TEST(CpuSdh, AllSchedulesAgree) {
-  const auto pts = gaussian_clusters(500, 4, 10.0f, 0.5f, 557);
-  ThreadPool pool(4);
-  CpuConfig cfg;
-  cfg.schedule = Schedule::Static;
-  const auto a = cpu_sdh(pool, pts, 0.3, 64, cfg);
-  cfg.schedule = Schedule::Dynamic;
-  const auto b = cpu_sdh(pool, pts, 0.3, 64, cfg);
-  cfg.schedule = Schedule::Guided;
-  const auto c = cpu_sdh(pool, pts, 0.3, 64, cfg);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a, c);
-}
-
 TEST(CpuPcf, MatchesBruteForce) {
   const auto pts = uniform_box(500, 8.0f, 558);
   std::uint64_t expected = 0;

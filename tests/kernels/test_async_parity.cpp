@@ -197,28 +197,5 @@ TEST(GramAsyncParity, StreamMatchesInlineBitExactly) {
   EXPECT_EQ(inline_r.stats, async_r.stats);
 }
 
-TEST(PartitionedAsyncParity, StreamMatchesInlineBitExactly) {
-  const auto pts = uniform_box(kN, 10.0f, 5);
-  const double width = pts.max_possible_distance() / kBuckets + 1e-4;
-
-  for (int owner = 0; owner < 2; ++owner) {
-    Device dev_inline;
-    const SdhResult inline_r =
-        run_sdh_partitioned(dev_inline, pts, width, kBuckets,
-                            SdhVariant::RegShmOut, kBlock, owner, 2);
-
-    Device dev_async;
-    Stream stream(dev_async);
-    const SdhResult async_r =
-        run_sdh_partitioned(stream, pts, width, kBuckets,
-                            SdhVariant::RegShmOut, kBlock, owner, 2);
-
-    for (std::size_t b = 0; b < inline_r.hist.bucket_count(); ++b)
-      EXPECT_EQ(inline_r.hist[b], async_r.hist[b])
-          << "owner " << owner << " bucket " << b;
-    EXPECT_EQ(inline_r.stats, async_r.stats) << "owner " << owner;
-  }
-}
-
 }  // namespace
 }  // namespace tbs::kernels

@@ -78,5 +78,21 @@ TEST(TransferModel, ScalesLinearlyInBytesAndDevices) {
   EXPECT_NEAR(pcie.broadcast_seconds(16'000'000'000ull, 4), 4.0, 1e-9);
 }
 
+TEST(TransferModel, LatencyPlusBandwidth) {
+  const TransferModel pcie{10.0e9, 5.0e-6};
+  EXPECT_NEAR(pcie.seconds(10'000'000), 5e-6 + 1e-3, 1e-9);
+  EXPECT_NEAR(pcie.broadcast_seconds(10'000'000, 3),
+              3 * (5e-6 + 1e-3), 1e-9);
+}
+
+TEST(TransferModel, DefaultsAreSane) {
+  const TransferModel pcie;
+  // 24 MB of points (2M x 12B) should take ~2 ms — small vs multi-second
+  // kernels, as the paper's figures (which exclude transfers) assume.
+  const double t = pcie.seconds(2'000'000ull * 12);
+  EXPECT_GT(t, 1e-3);
+  EXPECT_LT(t, 1e-2);
+}
+
 }  // namespace
 }  // namespace tbs::perfmodel

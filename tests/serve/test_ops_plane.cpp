@@ -279,6 +279,29 @@ TEST(OpsPlaneMetrics, QueueDepthAndPerWorkerInflightGaugesExist) {
   EXPECT_NE(gauges.find("backend.cpu0.launches"), nullptr);
 }
 
+TEST(OpsPlaneMetrics, DeviceFaultGaugeCountsWorkerLaunchFaults) {
+  // Worker launches run through each worker's own lane onto the device;
+  // the gauge must count their faults too, not only the shard lane's.
+  QueryEngine::Config cfg;
+  cfg.devices = 1;
+  cfg.streams_per_device = 1;
+  cfg.retry.max_attempts = 4;  // the first query absorbs all three faults
+  cfg.faults.resize(1);
+  cfg.faults[0].fail_first_n = 3;
+  QueryEngine engine(cfg);
+  const PointsSoA pts = test_points(37);
+  const double width = pts.max_possible_distance() / 32 + 1e-4;
+  for (int i = 0; i < 4; ++i)
+    (void)std::get<SdhResult>(engine.sdh(pts, width, 32 + i).get());
+  engine.shutdown();
+
+  EXPECT_EQ(engine.stats().counters.faults, 3u);
+  const json::Value metrics = json::parse(engine.metrics_json());
+  const json::Value& gauges = metrics.at("gauges");
+  ASSERT_NE(gauges.find("backend.gpu0.faults"), nullptr);
+  EXPECT_EQ(gauges.at("backend.gpu0.faults").number, 3.0);
+}
+
 TEST(OpsPlaneMetrics, LatencyHistogramBucketsCarryExemplarTraceIds) {
   obs::Tracer tracer;
   tracer.enable();

@@ -185,30 +185,23 @@ TEST(FaultInjection, StallDelaysTheLaunchButItStillSucceeds) {
   EXPECT_EQ(dev.fault_injector()->stats().stalls, 1u);
 }
 
-TEST(FaultInjection, StreamFaultPoisonsTheQueueAndTheStreamRecovers) {
+TEST(FaultInjection, DeviceFaultFailsAStreamLaunchAndTheStreamRecovers) {
   Device dev;
   Stream stream(dev);
   FaultPlan plan;
   plan.fail_first_n = 1;
-  stream.set_fault_plan(plan);
+  dev.set_fault_plan(plan);
 
+  // The device's plan sees pooled launches exactly like inline ones.
   DeviceBuffer<int> out(64, -1);
-  Event bad = dev.launch_async(stream, LaunchConfig{1, 64, 0},
-                               store_body(out, 1));
-  Event behind = dev.launch_async(stream, LaunchConfig{1, 64, 0},
-                                  store_body(out, 2));
-  // In-order semantics: the injected failure poisons the queued successor,
-  // exactly like an organic kernel failure.
-  EXPECT_THROW(bad.wait(), TransientLaunchError);
-  EXPECT_THROW(behind.wait(), TransientLaunchError);
+  EXPECT_THROW(stream.launch(LaunchConfig{1, 64, 0}, store_body(out, 1)),
+               TransientLaunchError);
   EXPECT_EQ(out.host()[0], -1);
 
   // The schedule is spent; the stream is serviceable again.
-  Event ok = dev.launch_async(stream, LaunchConfig{1, 64, 0},
-                              store_body(out, 3));
-  EXPECT_NO_THROW(ok.wait());
+  EXPECT_NO_THROW(stream.launch(LaunchConfig{1, 64, 0}, store_body(out, 3)));
   EXPECT_EQ(out.host()[0], 3);
-  EXPECT_EQ(stream.fault_injector()->stats().scheduled, 1u);
+  EXPECT_EQ(dev.fault_injector()->stats().scheduled, 1u);
 }
 
 TEST(SilentFaults, SequenceIsAPureFunctionOfTheSeed) {

@@ -1,9 +1,10 @@
-// Stream / Event runtime semantics: lazy FIFO execution, event completion,
-// synchronize() accumulation, error poisoning, and bit-identical counters
-// between the inline and async launch paths.
+// Stream runtime semantics: a stream launch runs before it returns, with
+// its blocks on the worker pool, and its counters are bit-identical to the
+// inline Device launch; LaunchTarget keeps each path's mode.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "common/error.hpp"
 #include "vgpu/buffer.hpp"
@@ -32,118 +33,30 @@ TEST(Stream, PoolUsesConfiguredWorkerCount) {
   EXPECT_EQ(async_worker_count(), 4u);
 }
 
-TEST(Stream, LaunchesAreLazyUntilWaited) {
+TEST(Stream, LaunchValidatesConfigBeforeRunning) {
   Device dev;
   Stream stream(dev);
   DeviceBuffer<int> out(64, -1);
-
-  Event e1 = dev.launch_async(stream, LaunchConfig{1, 64, 0},
-                              store_body(out, 1));
-  Event e2 = dev.launch_async(stream, LaunchConfig{1, 64, 0},
-                              store_body(out, 2));
-  EXPECT_EQ(stream.pending(), 2u);
-  EXPECT_FALSE(e1.ready());
-  EXPECT_FALSE(e2.ready());
-  EXPECT_EQ(out.host()[0], -1);  // nothing has executed yet
-
-  e2.wait();  // drains e1 first (FIFO), then e2
-  EXPECT_TRUE(e1.ready());
-  EXPECT_TRUE(e2.ready());
-  EXPECT_EQ(stream.pending(), 0u);
-  EXPECT_EQ(out.host()[0], 2);  // e2 ran last
-}
-
-TEST(Stream, WaitDrainsOnlyUpToTheEvent) {
-  Device dev;
-  Stream stream(dev);
-  DeviceBuffer<int> out(64, -1);
-
-  Event e1 = dev.launch_async(stream, LaunchConfig{1, 64, 0},
-                              store_body(out, 1));
-  dev.launch_async(stream, LaunchConfig{1, 64, 0}, store_body(out, 2));
-  e1.wait();
-  EXPECT_EQ(stream.pending(), 1u);  // the second launch is still queued
-  EXPECT_EQ(out.host()[0], 1);
-}
-
-TEST(Stream, SynchronizeMergesAndResets) {
-  Device dev;
-  Stream stream(dev);
-  DeviceBuffer<int> out(64, -1);
-
-  dev.launch_async(stream, LaunchConfig{1, 64, 0}, store_body(out, 1));
-  dev.launch_async(stream, LaunchConfig{1, 64, 0}, store_body(out, 2));
-  const KernelStats merged = stream.synchronize();
-  EXPECT_EQ(merged.launches, 2u);
-  EXPECT_EQ(merged.global_stores, 2u * 64u);  // per-lane count, 2 launches
-
-  // Stats already reported are not reported again.
-  const KernelStats empty = stream.synchronize();
-  EXPECT_EQ(empty.launches, 0u);
-}
-
-TEST(Stream, SynchronizeIncludesLaunchesDrainedThroughWait) {
-  Device dev;
-  Stream stream(dev);
-  DeviceBuffer<int> out(64, -1);
-
-  Event e = dev.launch_async(stream, LaunchConfig{1, 64, 0},
-                             store_body(out, 1));
-  e.wait();
-  dev.launch_async(stream, LaunchConfig{1, 64, 0}, store_body(out, 2));
-  const KernelStats merged = stream.synchronize();
-  EXPECT_EQ(merged.launches, 2u);
-}
-
-TEST(Stream, WaitOnDefaultEventFails) {
-  Event e;
-  EXPECT_THROW(e.wait(), CheckError);
-}
-
-TEST(Stream, LaunchAsyncValidatesConfigEagerly) {
-  Device dev;
-  Stream stream(dev);
-  DeviceBuffer<int> out(64, -1);
-  EXPECT_THROW(dev.launch_async(stream, LaunchConfig{0, 64, 0},
-                                store_body(out, 1)),
+  EXPECT_THROW(stream.launch(LaunchConfig{0, 64, 0}, store_body(out, 1)),
                CheckError);
-  EXPECT_EQ(stream.pending(), 0u);  // nothing was enqueued
-}
-
-TEST(Stream, LaunchAsyncRejectsForeignStream) {
-  Device dev_a;
-  Device dev_b;
-  Stream stream_a(dev_a);
-  DeviceBuffer<int> out(64, -1);
-  EXPECT_THROW(dev_b.launch_async(stream_a, LaunchConfig{1, 64, 0},
-                                  store_body(out, 1)),
-               CheckError);
-}
-
-TEST(Stream, FailurePoisonsQueuedSuccessors) {
-  Device dev;
-  Stream stream(dev);
-  DeviceBuffer<int> out(64, -1);
-
-  Event bad = dev.launch_async(
-      stream, LaunchConfig{1, 64, 0}, [](ThreadCtx&) -> KernelTask {
-        throw std::runtime_error("kernel exploded");
-      });
-  Event behind = dev.launch_async(stream, LaunchConfig{1, 64, 0},
-                                  store_body(out, 1));
-
-  EXPECT_THROW(stream.synchronize(), std::runtime_error);
-  EXPECT_TRUE(bad.ready());
-  EXPECT_TRUE(behind.ready());
-  // In-order semantics: the launch queued behind the failure reports the
-  // same error and never executed.
-  EXPECT_THROW(behind.wait(), std::runtime_error);
+  EXPECT_EQ(dev.launch_count(), 0u);  // nothing ran
   EXPECT_EQ(out.host()[0], -1);
+}
 
-  // The stream is usable again after the failure is consumed.
-  Event ok = dev.launch_async(stream, LaunchConfig{1, 64, 0},
-                              store_body(out, 7));
-  EXPECT_NO_THROW(ok.wait());
+TEST(Stream, FailureRethrowsAndTheStreamRecovers) {
+  Device dev;
+  Stream stream(dev);
+  DeviceBuffer<int> out(64, -1);
+
+  EXPECT_THROW(stream.launch(LaunchConfig{1, 64, 0},
+                             [](ThreadCtx&) -> KernelTask {
+                               throw std::runtime_error("kernel exploded");
+                             }),
+               std::runtime_error);
+  EXPECT_EQ(dev.launch_count(), 0u);
+
+  // The stream is usable again after the failure.
+  EXPECT_NO_THROW(stream.launch(LaunchConfig{1, 64, 0}, store_body(out, 7)));
   EXPECT_EQ(out.host()[0], 7);
 }
 
@@ -167,24 +80,42 @@ TEST(Stream, AsyncCountersMatchInlineLaunchBitExactly) {
   Device dev_async;
   DeviceBuffer<std::uint32_t> hist_async(16, 0);
   Stream stream(dev_async);
-  const KernelStats async_stats =
-      dev_async.launch_async(stream, cfg, body(hist_async)).wait();
+  const KernelStats async_stats = stream.launch(cfg, body(hist_async));
 
   EXPECT_EQ(inline_stats, async_stats);
   for (std::size_t i = 0; i < hist_inline.size(); ++i)
     EXPECT_EQ(hist_inline.host()[i], hist_async.host()[i]);
 }
 
-TEST(Stream, LaunchCountAdvancesOnDrainNotEnqueue) {
+TEST(Stream, LaunchCountAdvancesWhenTheLaunchRuns) {
   Device dev;
   Stream stream(dev);
   DeviceBuffer<int> out(64, -1);
   const std::uint64_t before = dev.launch_count();
-  Event e = dev.launch_async(stream, LaunchConfig{1, 64, 0},
-                             store_body(out, 1));
-  EXPECT_EQ(dev.launch_count(), before);  // still queued
-  e.wait();
+  (void)stream.launch(LaunchConfig{1, 64, 0}, store_body(out, 1));
   EXPECT_EQ(dev.launch_count(), before + 1);
+  EXPECT_EQ(out.host()[0], 1);  // the result is visible on return
+}
+
+TEST(LaunchTarget, DeviceRunsInlineAndStreamRunsPooled) {
+  Device dev;
+  Stream stream(dev);
+  std::vector<bool> pooled;
+  dev.set_launch_observer(
+      [&pooled](const LaunchRecord& rec) { pooled.push_back(rec.pooled); });
+  DeviceBuffer<int> out(128, -1);
+  const LaunchConfig cfg{2, 64, 0};
+
+  const LaunchTarget inline_target = dev;
+  const LaunchTarget pooled_target = stream;
+  EXPECT_EQ(&inline_target.device(), &dev);
+  EXPECT_EQ(&pooled_target.device(), &dev);
+  (void)inline_target.launch(cfg, store_body(out, 1));
+  (void)pooled_target.launch(cfg, store_body(out, 2));
+  (void)dev.launch(cfg, store_body(out, 3));
+  (void)stream.launch(cfg, store_body(out, 4));
+  EXPECT_EQ(pooled, (std::vector<bool>{false, true, false, true}));
+  EXPECT_EQ(out.host()[127], 4);
 }
 
 }  // namespace
