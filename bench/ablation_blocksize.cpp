@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
               "===\n\n");
 
   vgpu::Device dev;
-  vgpu::Stream stream(dev);  // blocks run on the worker pool
+  vgpu::Stream stream(dev);  // blocks run on the block queue
   const int buckets = 256;
   const double target_n = 400'000;
   const std::vector<int> block_sizes = {64, 128, 256, 512, 1024};

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
               "===\n\n");
 
   vgpu::Device dev;
-  vgpu::Stream stream(dev);  // blocks run on the worker pool
+  vgpu::Stream stream(dev);  // blocks run on the block queue
   const double radius = 2.0;
 
   TextTable t({"N", "stores/thread", "stores/warp", "per-thread time",

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   std::printf("=== Analytical model check (paper Eqs. 2-7) ===\n\n");
 
   vgpu::Device dev;
-  vgpu::Stream stream(dev);  // blocks run on the worker pool
+  vgpu::Stream stream(dev);  // blocks run on the block queue
   const std::size_t n = 2048;
   const int B = 128;
   const auto pts = uniform_box(n, 10.0f, 42);

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   std::printf("=== Fig. 2: 2-PCF kernel comparison ===\n\n");
 
   vgpu::Device dev;
-  vgpu::Stream stream(dev);  // blocks run on the worker pool
+  vgpu::Stream stream(dev);  // blocks run on the block queue
   const int B = 256;
   const double radius = 2.0;
   const auto make_runner = [&](PcfVariant v) {

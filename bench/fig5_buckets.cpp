@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   std::printf("=== Fig. 5: Reg-ROC-Out vs histogram size (N = 512k) ===\n\n");
 
   vgpu::Device dev;
-  vgpu::Stream stream(dev);  // blocks run on the worker pool
+  vgpu::Stream stream(dev);  // blocks run on the block queue
   const double target_n = 512'000;
   const int B = 256;
   const std::vector<int> bucket_counts = {16,   64,   250,  500,  1000,

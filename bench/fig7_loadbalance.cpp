@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   std::printf("=== Fig. 7: load-balanced intra-block computation ===\n\n");
 
   vgpu::Device dev;
-  vgpu::Stream stream(dev);  // blocks run on the worker pool
+  vgpu::Stream stream(dev);  // blocks run on the block queue
   const int buckets = 256;
   const int B = 256;
   const auto runner_for = [&](SdhVariant v) {

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   std::printf("per-pair CPU cost: %.2f ns*core\n\n", cpu.pair_cost() * 1e9);
 
   vgpu::Device dev;
-  vgpu::Stream stream(dev);  // blocks run on the worker pool
+  vgpu::Stream stream(dev);  // blocks run on the block queue
   const int buckets = 256;
   const auto make_runner = [&](SdhVariant v) {
     return [&stream, v, buckets](std::size_t n) {

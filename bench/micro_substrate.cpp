@@ -30,7 +30,7 @@ void BM_LaunchOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_LaunchOverhead);
 
-// Same kernel as a stream launch (blocks on the worker pool). The delta vs
+// Same kernel as a stream launch (blocks on the block queue). The delta vs
 // BM_LaunchOverhead is the pooled path's per-launch cost.
 void BM_StreamLaunchOverhead(benchmark::State& state) {
   vgpu::Device dev;
@@ -46,6 +46,24 @@ void BM_StreamLaunchOverhead(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StreamLaunchOverhead);
+
+// Each benchmark thread owns a Device and a Stream and launches the same
+// Reg-SHM-Out SDH (N=1024, B=256: four blocks) on it, so the threads:2 row
+// is two devices launching at once, and threads:1 is one device alone.
+// Wall time per launch: both devices' blocks share one block queue, so two
+// launches at once cost less than two launches one after the other.
+void BM_TwoDevicesLaunchAtOnce(benchmark::State& state) {
+  vgpu::Device dev;
+  vgpu::Stream stream(dev);
+  const auto pts = uniform_box(1024, 10.0f, 3);
+  const double width = pts.max_possible_distance() / 64 + 1e-4;
+  for (auto _ : state) {
+    auto r = kernels::run_sdh(stream, pts, width, 64,
+                              kernels::SdhVariant::RegShmOut, 256);
+    benchmark::DoNotOptimize(r.hist);
+  }
+}
+BENCHMARK(BM_TwoDevicesLaunchAtOnce)->Threads(1)->Threads(2)->UseRealTime();
 
 void BM_SharedLoadThroughput(benchmark::State& state) {
   vgpu::Device dev;

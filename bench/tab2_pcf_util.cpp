@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   std::printf("=== Table II: 2-PCF resource utilization ===\n\n");
 
   vgpu::Device dev;
-  vgpu::Stream stream(dev);  // blocks run on the worker pool
+  vgpu::Stream stream(dev);  // blocks run on the block queue
   const double target_n = 400'000;  // paper-scale run via extrapolation
   std::printf("(counters calibrated at N<=4096, reported at N=%.0fk)\n\n",
               target_n / 1000);

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
 
   obs::Tracer::global().enable();
   vgpu::Device dev;
-  vgpu::Stream stream(dev);  // blocks run on the worker pool
+  vgpu::Stream stream(dev);  // blocks run on the block queue
   // Hook the device: every calibration launch lands in the trace as a
   // vgpu.launch span nested under its variant's bench span.
   obs::Profiler prof(dev, &obs::Tracer::global());

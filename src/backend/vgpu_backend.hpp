@@ -1,7 +1,7 @@
 // VgpuBackend — the simulated-GPU substrate behind the IBackend seam.
 //
-// A thin adapter: launches go through a vgpu::Stream (blocks on the worker
-// pool), so everything attached to the Device — fault injection plans,
+// A thin adapter: launches go through a vgpu::Stream (blocks on the block
+// queue), so everything attached to the Device — fault injection plans,
 // launch observers, the launch counter — sees them. counters().faults is
 // the device injector's loud-fault count, which covers every lane onto
 // the device.

@@ -173,13 +173,19 @@ std::string EstimateCorrector::json() const {
     if (!first) out += ", ";
     first = false;
     const double n = std::max<double>(1.0, static_cast<double>(e.samples));
-    out += "\"" + json::escape(key) + "\": {\"samples\": " +
-           std::to_string(e.samples) +
-           ", \"factor\": " + json::number(clamped_factor(e)) +
-           ", \"mae_uncorrected\": " + json::number(e.sum_err_uncorrected / n) +
-           ", \"mae_corrected\": " + json::number(e.sum_err_corrected / n) +
-           ", \"recent_err_corrected\": " +
-           json::number(e.recent_err_corrected) + "}";
+    out += '"';
+    out += json::escape(key);
+    out += "\": {\"samples\": ";
+    out += std::to_string(e.samples);
+    out += ", \"factor\": ";
+    out += json::number(clamped_factor(e));
+    out += ", \"mae_uncorrected\": ";
+    out += json::number(e.sum_err_uncorrected / n);
+    out += ", \"mae_corrected\": ";
+    out += json::number(e.sum_err_corrected / n);
+    out += ", \"recent_err_corrected\": ";
+    out += json::number(e.recent_err_corrected);
+    out += '}';
   }
   out += "}}";
   return out;

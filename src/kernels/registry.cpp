@@ -209,7 +209,7 @@ KernelVariant make_knn() {
   kv.shared_bytes = tile_bytes;
   kv.launch = [](vgpu::Stream& stream, const PointsSoA& pts,
                  const ProblemDesc& d, int block_size, KernelOutput& out) {
-    KnnResult r = run_knn(stream.device(), pts, d.k, block_size);
+    KnnResult r = run_knn(stream, pts, d.k, block_size);
     if (out.neighbours != nullptr) *out.neighbours = std::move(r.neighbours);
     return r.stats;
   };

@@ -53,7 +53,7 @@ struct SdhResult {
 };
 
 /// Compute the SDH of `pts` on the simulated device: inline on a Device,
-/// or with blocks on the worker pool through a Stream (bit-identical
+/// or with blocks on the block queue through a Stream (bit-identical
 /// counters either way).
 ///
 /// `bucket_width` and `buckets` define the histogram geometry (distances

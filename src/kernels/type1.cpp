@@ -142,7 +142,8 @@ KernelTask kde_kernel(ThreadCtx& ctx, KdeParams p) {
 
 }  // namespace
 
-KnnResult run_knn(Device& dev, const PointsSoA& pts, int k, int block_size) {
+KnnResult run_knn(vgpu::LaunchTarget target, const PointsSoA& pts, int k,
+                  int block_size) {
   check(k >= 1 && k <= kMaxKnnK, "run_knn: k out of register-resident range");
   check(pts.size() > static_cast<std::size_t>(k),
         "run_knn: need more points than k");
@@ -161,7 +162,7 @@ KnnResult run_knn(Device& dev, const PointsSoA& pts, int k, int block_size) {
 
   KnnResult result;
   result.stats =
-      dev.launch(cfg, [&](ThreadCtx& ctx) { return knn_kernel(ctx, p); });
+      target.launch(cfg, [&](ThreadCtx& ctx) { return knn_kernel(ctx, p); });
   result.neighbours.resize(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     auto& row = result.neighbours[static_cast<std::size_t>(i)];

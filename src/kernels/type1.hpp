@@ -9,6 +9,7 @@
 #include "common/points.hpp"
 #include "vgpu/device.hpp"
 #include "vgpu/stats.hpp"
+#include "vgpu/stream.hpp"
 
 namespace tbs::kernels {
 
@@ -27,7 +28,9 @@ struct KnnResult {
 
 /// All-point kNN distances with a register-resident candidate list
 /// (Register-SHM tiling over every block). Requires 1 <= k <= kMaxKnnK.
-KnnResult run_knn(vgpu::Device& dev, const PointsSoA& pts, int k,
+/// Each thread stores only its own point's list, so pooled and inline
+/// launches give identical lists and counters.
+KnnResult run_knn(vgpu::LaunchTarget target, const PointsSoA& pts, int k,
                   int block_size);
 
 struct KdeResult {

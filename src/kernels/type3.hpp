@@ -33,7 +33,7 @@ struct JoinResult {
 
 /// Distance join: emit all pairs with dist < radius into global memory.
 ///
-/// Through a Stream the blocks run on the worker pool. TwoPhase emits into
+/// Through a Stream the blocks run on the block queue. TwoPhase emits into
 /// precomputed exclusive slices, so pairs *and* counters are bit-identical
 /// to an inline Device launch. GlobalCursor consumes the returned old value
 /// of a contended atomic cursor, so pooled block scheduling permutes

@@ -60,7 +60,10 @@ std::string rollup_json(const std::map<std::string, CostLedger::Aggregate>& m) {
   for (const auto& [key, agg] : m) {
     if (!first) out += ", ";
     first = false;
-    out += "\"" + json::escape(key) + "\": " + aggregate_json(agg);
+    out += '"';
+    out += json::escape(key);
+    out += "\": ";
+    out += aggregate_json(agg);
   }
   out += "}";
   return out;

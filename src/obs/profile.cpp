@@ -119,7 +119,9 @@ std::string DriftReport::to_json() const {
                     (within_tolerance() ? "true" : "false") +
                     ",\n  \"skipped\": [";
   for (std::size_t i = 0; i < skipped.size(); ++i) {
-    out += "\"" + json::escape(skipped[i]) + "\"";
+    out += '"';
+    out += json::escape(skipped[i]);
+    out += '"';
     if (i + 1 < skipped.size()) out += ", ";
   }
   out += "],\n  \"rows\": [\n";

@@ -2,10 +2,12 @@
 //
 // A kernel is any callable returning KernelTask; the executor owns the
 // coroutine handle and resumes it lane-by-lane. Each lane's coroutine is
-// resumed by exactly one executor thread; on a stream launch different
-// *blocks* may execute on different pool workers, but the blocks
-// of a launch never share coroutine state, and the snapshot/replay contract
-// in device.cpp keeps results deterministic either way.
+// resumed by exactly one thread, the one that claimed its block; on a
+// stream launch different *blocks* may run on different threads of the
+// block queue (the launching thread or a helper), at the same time as
+// blocks of other devices' launches. The blocks of a launch never share
+// coroutine state, and the snapshot/replay contract in device.cpp keeps
+// results deterministic either way.
 #pragma once
 
 #include <coroutine>

@@ -45,7 +45,6 @@ struct WarpState {
   int cur_phase = static_cast<int>(Phase::Setup);
   double phase_start_clock = 0.0;
   double tail_arith_max = 0.0;  ///< arith of lanes that already returned
-  bool at_barrier = false;
 };
 
 namespace detail {
@@ -94,7 +93,7 @@ struct PointStoreAwaiter : OpAwaiterBase {
 
 /// Read-modify-write add; returns the previous value (like atomicAdd).
 /// Global atomics use a real CPU atomic RMW: blocks of a stream launch run
-/// concurrently on the worker pool and may contend on the same address.
+/// concurrently on the block queue and may contend on the same address.
 /// Shared-memory atomics stay plain — the arena is private to the block.
 template <class T>
 struct AtomicAddAwaiter : OpAwaiterBase {

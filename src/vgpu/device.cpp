@@ -1,15 +1,18 @@
-// Warp-lockstep execution engine.
+// Warp-lockstep execution engine and the block queue pooled launches share.
 //
 // Scheduling model: every lane is a coroutine. A scheduler pass over each
-// warp (a) resumes lanes that have no pending op until they suspend or
-// finish, then (b) issues each *kind-group* of pending non-barrier ops as
-// one SIMT instruction: coalescing analysis for global ops, bank-conflict
-// analysis for shared ops, address-collision serialization for atomics, and
-// staging exchange for shuffles. Barriers release only when every live lane
-// of the block has arrived. A warp's clock advances by the charged cost of
-// each instruction it issues plus the max-over-lanes arithmetic between
-// suspension points — so divergence (lanes with longer loops) lengthens the
-// warp's serial time exactly as it does on real SIMT hardware.
+// warp makes one sweep of its lanes: it resumes each lane whose last op has
+// issued (or that has none) until the lane suspends or finishes, and sorts
+// every pending op by kind. It then issues each *kind-group* of pending
+// non-barrier ops as one SIMT instruction: coalescing analysis for global
+// ops, bank-conflict analysis for shared ops, address-collision
+// serialization for atomics, and staging exchange for shuffles. Barriers
+// release only when every live lane of the block has arrived. A warp's clock
+// advances by the charged cost of each instruction it issues plus the
+// max-over-lanes arithmetic between suspension points — so divergence (lanes
+// with longer loops) lengthens the warp's serial time exactly as it does on
+// real SIMT hardware.
+//
 // Launch semantics (shared by Device::launch and Stream::launch):
 // every block executes against a private copy of the L2 state taken at
 // launch entry — on real hardware blocks race, so no block may depend on
@@ -18,19 +21,31 @@
 // After all blocks finish, ledgers are replayed into the device L2 and the
 // counters merged in block-id order. The result is a pure function of
 // (device state, config, body): bit-identical whether blocks ran inline or
-// on the worker pool, which is the contract the stream tests pin down.
+// on the block queue, which is the contract the stream tests pin down.
+//
+// Block queue: every pooled launch in the process puts its blocks on one
+// queue. async_worker_count() - 1 helper threads claim blocks of the
+// oldest launch in it, and each launching thread claims blocks of its own
+// launch until none is left, then waits for the helpers' blocks to finish.
+// So launches on different devices run at once and share the helpers, and
+// a block's thread never changes what the block computes.
 #include "vgpu/device.hpp"
 
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <condition_variable>
+#include <deque>
 #include <exception>
+#include <functional>
 #include <mutex>
+#include <optional>
+#include <thread>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
-#include "cpubase/thread_pool.hpp"
 #include "vgpu/stream.hpp"
 
 namespace tbs::vgpu {
@@ -57,10 +72,15 @@ struct WarpRunner {
   WarpState state;
   int first_lane = 0;
   int lane_count = 0;
+  /// Bit k set: the warp's kind-k group issued on its last step, so those
+  /// lanes resume on the next one.
+  unsigned issued_kinds = 0;
 };
 
 /// Scratch vector of lane indices pending the same op kind.
 using LaneGroup = std::array<int, 32>;
+
+constexpr std::size_t kOpKinds = static_cast<std::size_t>(OpKind::Barrier) + 1;
 
 class BlockExecutor {
  public:
@@ -79,10 +99,14 @@ class BlockExecutor {
 
     while (live_ > 0) {
       bool progressed = false;
+      int waiting = 0;  // live lanes parked at the block barrier
       for (auto& warp : warps_) {
-        progressed |= step_warp(warp);
+        progressed |= step_warp(warp, waiting);
       }
-      if (try_release_barrier()) progressed = true;
+      if (live_ > 0 && waiting == live_) {
+        release_barrier();
+        progressed = true;
+      }
       check(progressed || live_ == 0,
             "vgpu deadlock: no lane can make progress (unsatisfiable "
             "barrier?)");
@@ -136,91 +160,72 @@ class BlockExecutor {
     live_ = b;
   }
 
-  /// Resume lanes with no pending op; returns true if any lane advanced.
-  bool fill_pending(WarpRunner& warp) {
-    bool advanced = false;
-    for (int i = 0; i < warp.lane_count; ++i) {
-      Lane& lane = lanes_[static_cast<std::size_t>(warp.first_lane + i)];
-      if (lane.done || lane.ctx.has_pending) continue;
-      lane.task.resume();
-      advanced = true;
-      if (lane.task.done()) {
-        lane.done = true;
-        --live_;
-        // Tail arithmetic executed after the lane's last suspension.
-        warp.state.tail_arith_max =
-            std::max(warp.state.tail_arith_max,
-                     lane.ctx.arith_ops - lane.ctx.arith_mark +
-                         lane.ctx.control_ops - lane.ctx.control_mark);
-        stats_.arith_ops += lane.ctx.arith_ops - lane.ctx.arith_mark;
-        stats_.control_ops += lane.ctx.control_ops - lane.ctx.control_mark;
-        lane.ctx.arith_mark = lane.ctx.arith_ops;
-        lane.ctx.control_mark = lane.ctx.control_ops;
-      }
-    }
-    return advanced;
-  }
-
-  /// One scheduler step for a warp. Returns true if anything progressed.
-  bool step_warp(WarpRunner& warp) {
-    bool progressed = fill_pending(warp);
-
-    // Partition live lanes by pending kind.
-    std::array<LaneGroup, 10> groups{};
-    std::array<int, 10> group_size{};
-    int pending_total = 0;
+  /// One scheduler step for a warp: a single sweep of its lanes resumes
+  /// every lane whose op has issued (or that has none yet) and sorts the
+  /// pending ops by kind; then each kind group issues. Adds the warp's
+  /// lanes parked at the barrier to `waiting`. Returns true if anything
+  /// progressed.
+  bool step_warp(WarpRunner& warp, int& waiting) {
+    bool progressed = false;
+    const unsigned issued = std::exchange(warp.issued_kinds, 0u);
+    std::array<int, kOpKinds> group_size{};
+    int warp_live = 0;
     int barrier_count = 0;
     for (int i = 0; i < warp.lane_count; ++i) {
       const int idx = warp.first_lane + i;
-      const Lane& lane = lanes_[static_cast<std::size_t>(idx)];
-      if (lane.done || !lane.ctx.has_pending) continue;
-      ++pending_total;
+      Lane& lane = lanes_[static_cast<std::size_t>(idx)];
+      if (lane.done) continue;
+      if (!lane.ctx.has_pending ||
+          (issued >> static_cast<unsigned>(lane.ctx.pending.kind) & 1u)) {
+        lane.task.resume();
+        progressed = true;
+        if (lane.task.done()) {
+          lane.done = true;
+          --live_;
+          // Tail arithmetic executed after the lane's last suspension.
+          warp.state.tail_arith_max =
+              std::max(warp.state.tail_arith_max,
+                       lane.ctx.arith_ops - lane.ctx.arith_mark +
+                           lane.ctx.control_ops - lane.ctx.control_mark);
+          stats_.arith_ops += lane.ctx.arith_ops - lane.ctx.arith_mark;
+          stats_.control_ops += lane.ctx.control_ops - lane.ctx.control_mark;
+          lane.ctx.arith_mark = lane.ctx.arith_ops;
+          lane.ctx.control_mark = lane.ctx.control_ops;
+          continue;
+        }
+      }
+      // A live lane always suspends with an op pending.
+      ++warp_live;
       const auto k = static_cast<std::size_t>(lane.ctx.pending.kind);
       if (lane.ctx.pending.kind == OpKind::Barrier) {
         ++barrier_count;
         continue;
       }
-      groups[k][static_cast<std::size_t>(group_size[k])] = idx;
+      groups_[k][static_cast<std::size_t>(group_size[k])] = idx;
       ++group_size[k];
     }
-    if (pending_total == 0) return progressed;
-
-    warp.state.at_barrier =
-        (barrier_count == pending_total && barrier_count > 0);
-
-    // Count live lanes of this warp (shuffle completeness check).
-    int warp_live = 0;
-    for (int i = 0; i < warp.lane_count; ++i)
-      if (!lanes_[static_cast<std::size_t>(warp.first_lane + i)].done)
-        ++warp_live;
+    waiting += barrier_count;
 
     // Issue every non-barrier kind group as one SIMT instruction. A shuffle
     // only issues once *every* live lane of the warp has arrived at it —
     // lanes still finishing a predicated side path (e.g. an atomic between
     // two shuffles) are given time to catch up; if they can never arrive the
     // block-level deadlock check fires.
-    for (std::size_t k = 0; k < groups.size(); ++k) {
+    for (std::size_t k = 0; k < kOpKinds; ++k) {
       if (group_size[k] == 0) continue;
       if (static_cast<OpKind>(k) == OpKind::Shuffle &&
           group_size[k] < warp_live)
         continue;
-      issue(warp, static_cast<OpKind>(k), groups[k],
+      issue(warp, static_cast<OpKind>(k), groups_[k],
             static_cast<std::size_t>(group_size[k]));
+      warp.issued_kinds |= 1u << k;
       progressed = true;
     }
     return progressed;
   }
 
-  /// Release the block barrier if every live lane has arrived.
-  bool try_release_barrier() {
-    int waiting = 0;
-    for (const auto& lane : lanes_) {
-      if (lane.done) continue;
-      if (lane.ctx.has_pending && lane.ctx.pending.kind == OpKind::Barrier)
-        ++waiting;
-    }
-    if (live_ == 0 || waiting < live_) return false;
-
+  /// Release the block barrier, at which every live lane has arrived.
+  void release_barrier() {
     // Fold each warp's pre-barrier arithmetic (max over its live lanes)
     // into its clock before aligning all warps to the block-wide maximum.
     for (auto& warp : warps_) {
@@ -239,16 +244,12 @@ class BlockExecutor {
     for (const auto& warp : warps_)
       block_clock = std::max(block_clock, warp.state.clock);
     block_clock += spec_.lat_barrier;
-    for (auto& warp : warps_) {
-      warp.state.clock = block_clock;
-      warp.state.at_barrier = false;
-    }
+    for (auto& warp : warps_) warp.state.clock = block_clock;
     for (auto& lane : lanes_) {
       if (lane.done) continue;
       lane.ctx.has_pending = false;
       ++stats_.barriers;
     }
-    return true;
   }
 
   /// Fold a lane's un-charged arithmetic into the running max-over-lanes
@@ -318,19 +319,16 @@ class BlockExecutor {
       case OpKind::None:
         fail("issue(): unexpected op kind");
     }
+    // Resume happens lazily: the warp's next step resumes these lanes
+    // (await_resume then performs data movement).
     warp.state.clock += cost;
-
-    // Resume happens lazily: clearing has_pending lets fill_pending advance
-    // the lane on the next pass (await_resume then performs data movement).
-    for (std::size_t i = 0; i < n; ++i)
-      lanes_[static_cast<std::size_t>(lanes[i])].ctx.has_pending = false;
   }
 
   /// Coalescing + cache analysis for global-path ops. Returns cycle cost.
   double issue_global(const LaneGroup& lanes, std::size_t n,
                       bool through_roc) {
     // Collect unique cache-line segments across all addresses in the group.
-    std::array<std::uintptr_t, 96> segs{};
+    std::array<std::uintptr_t, 96>& segs = segs_;
     std::size_t seg_count = 0;
     std::uint64_t useful_bytes = 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -403,8 +401,9 @@ class BlockExecutor {
 
     std::uint64_t transactions = 0;
     for (int slot = 0; slot < max_slots; ++slot) {
-      // words[bank] -> set of distinct word addresses (tiny linear scan).
-      std::array<std::array<std::uintptr_t, 32>, 32> words{};
+      // words[bank] -> set of distinct word addresses (tiny linear scan);
+      // only its first per_bank[bank] entries are ever read.
+      auto& words = bank_words_;
       std::array<int, 32> per_bank{};
       int degree = 1;
       for (std::size_t i = 0; i < n; ++i) {
@@ -440,8 +439,8 @@ class BlockExecutor {
 
   /// Address-collision serialization for atomics. Returns cycle cost.
   double issue_atomic(const LaneGroup& lanes, std::size_t n, bool global) {
-    std::array<std::uintptr_t, 32> addrs{};
-    std::array<int, 32> hits{};
+    std::array<std::uintptr_t, 32>& addrs = atomic_addrs_;
+    std::array<int, 32>& hits = atomic_hits_;
     std::size_t unique = 0;
     std::uint64_t bytes = 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -541,28 +540,120 @@ class BlockExecutor {
   int live_ = 0;
   double pending_arith_max_ = 0.0;
   double pending_control_max_ = 0.0;
+  // Per-instruction scratch, never zeroed: each use reads only the entries
+  // it has written.
+  std::array<LaneGroup, kOpKinds> groups_;
+  std::array<std::uintptr_t, 96> segs_;
+  std::array<std::array<std::uintptr_t, 32>, 32> bank_words_;
+  std::array<std::uintptr_t, 32> atomic_addrs_;
+  std::array<int, 32> atomic_hits_;
 };
 
-/// Pool workers executing the blocks of stream launches. Created once,
-/// lazily; size requested via set_async_worker_count before first use.
+/// The blocks of every pooled launch in flight (see the note at the top
+/// of this file). A block function must not throw.
+class BlockQueue {
+ public:
+  /// `threads` counts the launching thread: threads - 1 helpers start.
+  explicit BlockQueue(unsigned threads) : threads_(threads) {
+    helpers_.reserve(threads_ - 1);
+    for (unsigned i = 1; i < threads_; ++i)
+      helpers_.emplace_back([this] { help(); });
+  }
+
+  ~BlockQueue() {
+    {
+      const std::lock_guard lock(mu_);
+      stopping_ = true;
+    }
+    work_.notify_all();
+    for (std::thread& helper : helpers_) helper.join();
+  }
+
+  BlockQueue(const BlockQueue&) = delete;
+  BlockQueue& operator=(const BlockQueue&) = delete;
+
+  [[nodiscard]] unsigned threads() const noexcept { return threads_; }
+
+  /// Run block(b) for every b in [0, grid): the calling thread claims
+  /// blocks until none is left, the helpers take the rest. Returns once
+  /// every block has finished.
+  void run(int grid, const std::function<void(int)>& block) {
+    Launch launch{&block, grid};
+    std::unique_lock lock(mu_);
+    open_.push_back(&launch);
+    work_.notify_all();
+    while (launch.next < launch.grid) {
+      const int b = claim(launch);
+      lock.unlock();
+      block(b);
+      lock.lock();
+      ++launch.done;
+    }
+    launch.finished.wait(lock, [&] { return launch.done == launch.grid; });
+  }
+
+ private:
+  struct Launch {
+    const std::function<void(int)>* block;
+    int grid;
+    int next = 0;  ///< first unclaimed block
+    int done = 0;  ///< blocks finished
+    std::condition_variable finished{};
+  };
+
+  /// Claim the next block of `launch`; caller holds mu_. A launch leaves
+  /// the open list with its last claim, so nobody reads it after its
+  /// launching thread returns.
+  int claim(Launch& launch) {
+    const int b = launch.next++;
+    if (launch.next == launch.grid)
+      open_.erase(std::find(open_.begin(), open_.end(), &launch));
+    return b;
+  }
+
+  void help() {
+    std::unique_lock lock(mu_);
+    for (;;) {
+      work_.wait(lock, [&] { return stopping_ || !open_.empty(); });
+      if (stopping_) return;
+      Launch& launch = *open_.front();
+      const int b = claim(launch);
+      lock.unlock();
+      (*launch.block)(b);
+      lock.lock();
+      // Notify under the lock: the launching thread cannot return, and
+      // destroy `launch`, before this thread lets go of mu_.
+      if (++launch.done == launch.grid) launch.finished.notify_one();
+    }
+  }
+
+  const unsigned threads_;
+  std::mutex mu_;
+  std::condition_variable work_;  ///< an open launch, or stopping_
+  std::deque<Launch*> open_;      ///< launches with unclaimed blocks
+  bool stopping_ = false;
+  std::vector<std::thread> helpers_;  ///< last: they use the members above
+};
+
+/// Threads per pooled launch; read once, when the queue is created.
 unsigned& requested_async_workers() {
   static unsigned count = 0;  // 0 = hardware concurrency
   return count;
 }
 
-cpubase::ThreadPool& exec_pool() {
-  static cpubase::ThreadPool pool(requested_async_workers());
-  return pool;
+BlockQueue& block_queue() {
+  static BlockQueue queue(
+      requested_async_workers() != 0
+          ? requested_async_workers()
+          : std::max(1u, std::thread::hardware_concurrency()));
+  return queue;
 }
-
-/// The pool supports one parallel_for at a time; serialize pooled launches.
-std::mutex g_pool_mutex;
 
 }  // namespace
 
 void set_async_worker_count(unsigned n) { requested_async_workers() = n; }
 
-unsigned async_worker_count() { return exec_pool().size(); }
+unsigned async_worker_count() { return block_queue().threads(); }
 
 Device::Device(DeviceSpec spec)
     : spec_(std::move(spec)),
@@ -590,13 +681,18 @@ KernelStats Device::execute_launch(const LaunchConfig& cfg,
   std::vector<BlockLedger> ledgers(static_cast<std::size_t>(grid));
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(grid));
 
-  // Worker exceptions must not escape parallel_for (the pool does not catch
-  // them); the lowest-block-id error is rethrown after the join.
-  const auto run_block = [&](int b, SetAssocCache& shard) {
+  // Block functions must not throw (the queue does not catch); the
+  // lowest-block-id error is rethrown once every block has finished.
+  const std::function<void(int)> run_block = [&](int b) {
     const auto i = static_cast<std::size_t>(b);
+    // Each thread keeps one L2 scratch and refills it for every block.
+    thread_local std::optional<SetAssocCache> shard;
     try {
-      shard = l2_;  // launch-entry snapshot (see note at top of file)
-      BlockExecutor exec(spec_, cfg, shard, block_stats[i], ledgers[i]);
+      if (shard)
+        *shard = l2_;  // launch-entry snapshot (see note at top of file)
+      else
+        shard.emplace(l2_);
+      BlockExecutor exec(spec_, cfg, *shard, block_stats[i], ledgers[i]);
       exec.run(b, body);
     } catch (...) {
       errors[i] = std::current_exception();
@@ -604,19 +700,9 @@ KernelStats Device::execute_launch(const LaunchConfig& cfg,
   };
 
   if (pooled && grid > 1) {
-    cpubase::ThreadPool& pool = exec_pool();
-    std::scoped_lock lock(g_pool_mutex);
-    std::vector<SetAssocCache> shards(pool.size(), l2_);
-    cpubase::parallel_for(
-        pool, 0, static_cast<std::size_t>(grid), cpubase::Schedule::Dynamic,
-        [&](unsigned worker, std::size_t lo, std::size_t hi) {
-          for (std::size_t b = lo; b < hi; ++b)
-            run_block(static_cast<int>(b), shards[worker]);
-        },
-        /*chunk=*/1);
+    block_queue().run(grid, run_block);
   } else {
-    SetAssocCache shard = l2_;
-    for (int b = 0; b < grid; ++b) run_block(b, shard);
+    for (int b = 0; b < grid; ++b) run_block(b);
   }
 
   for (const std::exception_ptr& err : errors)

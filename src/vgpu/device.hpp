@@ -43,7 +43,7 @@ using LaunchObserver = std::function<void(const LaunchRecord&)>;
 /// against a private snapshot of the L2 state taken at launch entry, and
 /// block effects are replayed into the device in block-id order afterwards
 /// — so counters are a pure function of (device state, config, body),
-/// identical whether blocks run inline (`launch`) or on the worker pool
+/// identical whether blocks run inline (`launch`) or on the block queue
 /// (`Stream::launch`). The *cost model* accounts for blocks as
 /// if they ran concurrently across SMs (see perfmodel::KernelTimeModel).
 class Device {

@@ -1,11 +1,13 @@
 // Stream — a lane onto one simulated device whose launches run their
-// blocks on a shared worker pool — and LaunchTarget, the one parameter
-// type every kernel entry point takes.
+// blocks on the block queue every pooled launch shares — and LaunchTarget,
+// the one parameter type every kernel entry point takes.
 //
-// A Stream launch runs at once and returns its counters. Its blocks are
-// fanned out onto the pool (see `set_async_worker_count`), yet the counters
-// are bit-identical to `Device::launch`, which runs the blocks inline on
-// the calling thread — see device.cpp for the per-block L2 snapshot +
+// A Stream launch runs at once and returns its counters. Its blocks go on
+// the process-wide block queue, where the launching thread and the helper
+// threads (see `set_async_worker_count`) claim them; launches on different
+// devices run at once and share the helpers. Yet the counters are
+// bit-identical to `Device::launch`, which runs the blocks inline on the
+// calling thread — see device.cpp for the per-block L2 snapshot +
 // block-order replay contract that makes this hold.
 //
 // Determinism contract: functional results are deterministic for kernels
@@ -20,7 +22,7 @@
 namespace tbs::vgpu {
 
 /// A launch lane bound to one Device: one launch at a time, its blocks on
-/// the worker pool.
+/// the block queue.
 class Stream {
  public:
   explicit Stream(Device& device) : dev_(&device) {}
@@ -30,7 +32,7 @@ class Stream {
 
   [[nodiscard]] Device& device() const noexcept { return *dev_; }
 
-  /// Run one launch with its blocks on the worker pool and return its
+  /// Run one launch with its blocks on the block queue and return its
   /// counters. Throws exactly as Device::launch does.
   KernelStats launch(const LaunchConfig& cfg, const KernelBody& body) {
     return dev_->execute_launch(cfg, body, /*pooled=*/true);
@@ -41,7 +43,7 @@ class Stream {
 };
 
 /// Where a kernel's launches run: a Device& runs blocks inline on the
-/// calling thread, a Stream& runs them on the worker pool. Both convert
+/// calling thread, a Stream& runs them on the block queue. Both convert
 /// implicitly, so each kernel entry point has one definition serving both,
 /// with bit-identical counters.
 class LaunchTarget {
@@ -62,12 +64,15 @@ class LaunchTarget {
   bool pooled_ = false;
 };
 
-/// Set how many pool workers execute the blocks of stream launches
-/// (0 = hardware concurrency, at least 1). Only effective before the first
-/// stream launch of the process — the pool is created once, on first use.
+/// Set how many threads run one stream launch's blocks: n - 1 helper
+/// threads, which every stream launch in the process shares, plus the
+/// launching thread (0 = hardware concurrency, at least 1). Only effective
+/// before the first stream launch of the process — the helpers start once,
+/// on first use.
 void set_async_worker_count(unsigned n);
 
-/// Worker count of the stream launch pool (creates the pool on first call).
+/// Threads per stream launch, the launching thread included (starts the
+/// helpers on first call).
 unsigned async_worker_count();
 
 }  // namespace tbs::vgpu

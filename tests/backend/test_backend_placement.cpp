@@ -176,10 +176,10 @@ TEST_F(BackendPlacement, PlanCacheKeysOnTheBackendSet) {
   EXPECT_EQ(vgpu_be_.counters().launches, launches);
 }
 
-TEST(VgpuBackendLaunchMode, EveryLaunchRunsPooledExceptKnn) {
+TEST(VgpuBackendLaunchMode, EveryLaunchRunsPooled) {
   // The mode each launch runs in is part of the contract: every vgpu
-  // launch through the backend runs its blocks on the worker pool, except
-  // kNN's, whose registry functor launches inline on the device.
+  // launch through the backend, kNN's included, runs its blocks on the
+  // block queue.
   vgpu::Device dev;
   std::vector<bool> pooled;
   dev.set_launch_observer([&pooled](const vgpu::LaunchRecord& rec) {
@@ -211,7 +211,7 @@ TEST(VgpuBackendLaunchMode, EveryLaunchRunsPooledExceptKnn) {
     if (!v.supports(kernels::kBackendVgpu)) continue;
     kernels::KernelOutput out;
     (void)be.launch(v, pts, desc_for(v.problem), 64, out);
-    expect_mode(v.problem != kernels::ProblemType::Knn, v.name);
+    expect_mode(true, v.name);
     ++launched;
   }
   EXPECT_EQ(launched, 16);  // 8 SDH + 4 PCF + warpsum + kNN + 2 joins

@@ -1,15 +1,25 @@
-// The runtime's determinism invariant, end to end: for every SDH and PCF
-// kernel variant, running through a Stream on the worker pool produces
-// results AND counters bit-identical to the sequential Device::launch path.
+// The runtime's determinism invariant, end to end: for every kernel,
+// running through a Stream on the block queue produces results AND
+// counters bit-identical to the sequential Device::launch path, also while
+// other threads' launches on other devices share the queue.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <exception>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "backend/vgpu_backend.hpp"
 #include "common/datagen.hpp"
+#include "common/histogram.hpp"
 #include "kernels/pcf.hpp"
+#include "kernels/registry.hpp"
 #include "kernels/sdh.hpp"
+#include "kernels/type1.hpp"
 #include "kernels/type3.hpp"
 #include "vgpu/device.hpp"
 #include "vgpu/stream.hpp"
@@ -60,8 +70,8 @@ INSTANTIATE_TEST_SUITE_P(
                       SdhVariant::RegRoc, SdhVariant::NaiveOut,
                       SdhVariant::RegShmOut, SdhVariant::RegRocOut,
                       SdhVariant::RegShmLb, SdhVariant::ShuffleOut),
-    [](const ::testing::TestParamInfo<SdhVariant>& info) {
-      std::string name = to_string(info.param);
+    [](const ::testing::TestParamInfo<SdhVariant>& param_info) {
+      std::string name = to_string(param_info.param);
       for (char& c : name)
         if (c == '-') c = '_';
       return name;
@@ -89,8 +99,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllVariants, PcfAsyncParity,
     ::testing::Values(PcfVariant::Naive, PcfVariant::ShmShm,
                       PcfVariant::RegShm, PcfVariant::RegRoc),
-    [](const ::testing::TestParamInfo<PcfVariant>& info) {
-      std::string name = to_string(info.param);
+    [](const ::testing::TestParamInfo<PcfVariant>& param_info) {
+      std::string name = to_string(param_info.param);
       for (char& c : name)
         if (c == '-') c = '_';
       return name;
@@ -107,6 +117,20 @@ TEST(WarpsumAsyncParity, StreamMatchesInlineBitExactly) {
   const PcfResult async_r = run_pcf_warpsum(stream, pts, 2.0, kBlock);
 
   EXPECT_EQ(inline_r.pairs_within, async_r.pairs_within);
+  EXPECT_EQ(inline_r.stats, async_r.stats);
+}
+
+TEST(KnnAsyncParity, StreamMatchesInlineBitExactly) {
+  const auto pts = uniform_box(kN, 10.0f, 55);
+
+  Device dev_inline;
+  const KnnResult inline_r = run_knn(dev_inline, pts, 4, kBlock);
+
+  Device dev_async;
+  Stream stream(dev_async);
+  const KnnResult async_r = run_knn(stream, pts, 4, kBlock);
+
+  EXPECT_EQ(inline_r.neighbours, async_r.neighbours);
   EXPECT_EQ(inline_r.stats, async_r.stats);
 }
 
@@ -195,6 +219,110 @@ TEST(GramAsyncParity, StreamMatchesInlineBitExactly) {
   ASSERT_EQ(inline_r.matrix.size(), async_r.matrix.size());
   EXPECT_EQ(inline_r.matrix, async_r.matrix);
   EXPECT_EQ(inline_r.stats, async_r.stats);
+}
+
+/// One launch of the sequence below: its answer, and its counters without
+/// the fields that follow host addresses (the L2 and read-only cache index
+/// lines by host pointer, ROADMAP item 1), which differ between threads'
+/// buffers.
+struct Outcome {
+  std::vector<std::uint64_t> hist;
+  std::uint64_t pairs = 0;
+  std::vector<std::vector<float>> neighbours;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> join_pairs;
+  vgpu::KernelStats stats;
+
+  bool operator==(const Outcome&) const = default;
+};
+
+vgpu::KernelStats layout_free(vgpu::KernelStats s, bool cursor_order) {
+  s.dram_bytes = 0;
+  s.l2_bytes = 0;
+  s.roc_hit_bytes = 0;
+  s.total_warp_cycles = 0.0;
+  s.max_block_cycles = 0.0;
+  s.phase_cycles.clear();
+  // The global-cursor join stores each pair at the slot its cursor draw
+  // returns, and pooled blocks draw in the order they run.
+  if (cursor_order) s.global_transactions = 0;
+  return s;
+}
+
+/// A fixed sequence of pooled launches on a Device and Stream of its own:
+/// SDH, PCF, kNN, both joins, and launch_cross for SDH and PCF.
+std::vector<Outcome> run_sequence(const PointsSoA& pts,
+                                  const PointsSoA& partners) {
+  Device dev;
+  Stream stream(dev);
+  backend::VgpuBackend be(stream);
+  const auto& registry = KernelRegistry::instance();
+  const ProblemDesc sdh = ProblemDesc::sdh(
+      pts.max_possible_distance() / kBuckets + 1e-4, kBuckets);
+  const ProblemDesc pcf = ProblemDesc::pcf(1.5);
+  const ProblemDesc join = ProblemDesc::join(1.5);
+  const std::array<std::pair<const KernelVariant*, ProblemDesc>, 6> launches =
+      {{{registry.find(ProblemType::Sdh, "Reg-SHM-Out"), sdh},
+        {registry.find(ProblemType::Sdh, "Shuffle"), sdh},
+        {registry.find(ProblemType::Pcf, "Register-SHM"), pcf},
+        {registry.find(ProblemType::Knn, "kNN"), ProblemDesc::knn(3)},
+        {registry.find(ProblemType::Join, "two-phase"), join},
+        {registry.find(ProblemType::Join, "global-cursor"), join}}};
+
+  std::vector<Outcome> outcomes;
+  const auto run = [&](const auto& launch, bool cursor_order) {
+    Outcome o;
+    Histogram hist(sdh.bucket_width, kBuckets);
+    KernelOutput out{&hist, &o.pairs, &o.neighbours, &o.join_pairs};
+    o.stats = layout_free(launch(out), cursor_order);
+    o.hist.assign(hist.counts().begin(), hist.counts().end());
+    std::sort(o.join_pairs.begin(), o.join_pairs.end());
+    outcomes.push_back(std::move(o));
+  };
+  for (const auto& [variant, desc] : launches) {
+    check(variant != nullptr, "run_sequence: variant not registered");
+    run([&](KernelOutput& out) {
+      return be.launch(*variant, pts, desc, 64, out);
+    }, variant->name == "global-cursor");
+  }
+  for (const ProblemDesc& desc : {sdh, pcf})
+    run([&](KernelOutput& out) {
+      return be.launch_cross(pts, partners, desc, 64, out);
+    }, false);
+  return outcomes;
+}
+
+TEST(ConcurrentLaunchParity, FourThreadsMatchOneThread) {
+  ASSERT_TRUE(kWorkersConfigured);
+  // 300 points at block size 64: five blocks, the last one partial.
+  const auto pts = uniform_box(300, 10.0f, 808);
+  const auto partners = uniform_box(200, 10.0f, 809);
+  const std::vector<Outcome> expected = run_sequence(pts, partners);
+  ASSERT_EQ(expected.size(), 8u);
+
+  constexpr int kThreads = 4;
+  for (int round = 0; round < 3; ++round) {
+    std::vector<std::vector<Outcome>> got(kThreads);
+    std::vector<std::exception_ptr> errors(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+      threads.emplace_back([&, t] {
+        try {
+          got[static_cast<std::size_t>(t)] = run_sequence(pts, partners);
+        } catch (...) {
+          errors[static_cast<std::size_t>(t)] = std::current_exception();
+        }
+      });
+    for (std::thread& th : threads) th.join();
+    for (int t = 0; t < kThreads; ++t) {
+      SCOPED_TRACE("round " + std::to_string(round) + ", thread " +
+                   std::to_string(t));
+      const auto i = static_cast<std::size_t>(t);
+      if (errors[i]) std::rethrow_exception(errors[i]);
+      ASSERT_EQ(got[i].size(), expected.size());
+      for (std::size_t l = 0; l < expected.size(); ++l)
+        EXPECT_TRUE(got[i][l] == expected[l]) << "launch " << l;
+    }
+  }
 }
 
 }  // namespace

@@ -1,9 +1,14 @@
 // Stream runtime semantics: a stream launch runs before it returns, with
-// its blocks on the worker pool, and its counters are bit-identical to the
-// inline Device launch; LaunchTarget keeps each path's mode.
+// its blocks on the block queue, and its counters are bit-identical to the
+// inline Device launch; launches on different devices run at once;
+// LaunchTarget keeps each path's mode.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <exception>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -14,8 +19,8 @@
 namespace tbs::vgpu {
 namespace {
 
-// Configure the async pool before anything in the process creates it, so
-// these tests exercise real cross-worker execution even on 1-core hosts.
+// Configure the block queue before anything in the process creates it, so
+// these tests exercise real cross-thread execution even on 1-core hosts.
 const bool kWorkersConfigured = [] {
   set_async_worker_count(4);
   return true;
@@ -31,6 +36,52 @@ KernelBody store_body(DeviceBuffer<int>& out, int value) {
 TEST(Stream, PoolUsesConfiguredWorkerCount) {
   ASSERT_TRUE(kWorkersConfigured);
   EXPECT_EQ(async_worker_count(), 4u);
+}
+
+TEST(Stream, LaunchesOnTwoDevicesRunAtOnce) {
+  // The first lane of every block marks its device as running, then waits
+  // (up to a deadline) until a block of the other device runs too. Both
+  // launches finish without a timeout only if blocks of the two devices
+  // ran at the same time.
+  std::atomic<unsigned> running{0};
+  std::atomic<int> timeouts{0};
+  const auto body_for = [&](unsigned device_bit) -> KernelBody {
+    return [&running, &timeouts, device_bit](ThreadCtx& ctx) -> KernelTask {
+      if (ctx.thread_id == 0) {
+        running.fetch_or(device_bit);
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (running.load() != 3u) {
+          if (std::chrono::steady_clock::now() > deadline) {
+            timeouts.fetch_add(1);
+            break;
+          }
+          std::this_thread::yield();
+        }
+      }
+      co_return;
+    };
+  };
+
+  Device dev_a;
+  Device dev_b;
+  Stream stream_a(dev_a);
+  Stream stream_b(dev_b);
+  const LaunchConfig cfg{2, 32, 0};
+  std::exception_ptr other_error;
+  std::thread other([&] {
+    try {
+      (void)stream_b.launch(cfg, body_for(2u));
+    } catch (...) {
+      other_error = std::current_exception();
+    }
+  });
+  (void)stream_a.launch(cfg, body_for(1u));
+  other.join();
+  if (other_error) std::rethrow_exception(other_error);
+  EXPECT_EQ(timeouts.load(), 0);
+  EXPECT_EQ(dev_a.launch_count(), 1u);
+  EXPECT_EQ(dev_b.launch_count(), 1u);
 }
 
 TEST(Stream, LaunchValidatesConfigBeforeRunning) {
