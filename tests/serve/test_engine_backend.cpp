@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/datagen.hpp"
+#include "obs/json.hpp"
 #include "serve/engine.hpp"
 #include "serve/flight_recorder.hpp"
 #include "vgpu/fault.hpp"
@@ -295,6 +296,76 @@ TEST(EngineBackends, FailoverOffKeepsTheDegradedLadderShape) {
   }
   EXPECT_TRUE(failed);
   EXPECT_EQ(engine.stats().counters.failovers, 0u);
+}
+
+/// The engine's `backend.<lane>.<field>` gauge as metrics_json() exports
+/// it; throws when the engine exports no such gauge.
+double backend_gauge(const QueryEngine& engine, const std::string& lane,
+                     const std::string& field) {
+  const obs::json::Value doc = obs::json::parse(engine.metrics_json());
+  return doc.at("gauges").at("backend." + lane + "." + field).number;
+}
+
+TEST(EngineBackends, PerBackendGaugesAddUpToTheEngineTotals) {
+  // Each device and each CPU worker exports its own `backend.*` gauges:
+  // summed over the pool, the launch gauges are launch_count() and the
+  // staging gauges are what the one sharded query staged.
+  const PointsSoA pts = uniform_box(kN, 10.0f, /*seed=*/19);
+  const PointsSoA sharded_pts = uniform_box(kN, 10.0f, /*seed=*/23);
+  const double width = pts.max_possible_distance() / kBuckets + 1e-4;
+
+  QueryEngine::Config cfg;
+  cfg.devices = 2;
+  cfg.streams_per_device = 2;
+  cfg.cpu_workers = 1;
+  cfg.cpu_threads = 2;
+  QueryEngine engine(cfg);
+
+  SubmitOptions sharded;
+  sharded.shards = 4;
+  sharded.cost = std::make_shared<obs::QueryCost>();
+  std::vector<QueryEngine::ResultFuture> futs = {
+      engine.sdh(pts, width, kBuckets), engine.pcf(pts, 2.0),
+      engine.knn(pts, 3), engine.join(pts, 1.5),
+      engine.sdh(sharded_pts, width, kBuckets, sharded)};
+  for (QueryEngine::ResultFuture& f : futs) (void)get_with_watchdog(f);
+
+  double launches = 0.0;
+  double staged = 0.0;
+  for (const std::string lane : {"gpu0", "gpu1", "cpu0"}) {
+    launches += backend_gauge(engine, lane, "launches");
+    staged += backend_gauge(engine, lane, "staged_bytes");
+  }
+  EXPECT_EQ(launches, static_cast<double>(engine.launch_count()));
+  EXPECT_TRUE(sharded.cost->sharded);
+  EXPECT_GT(staged, 0.0);
+  EXPECT_EQ(staged, sharded.cost->phase(obs::CostPhase::Stage).bytes);
+  EXPECT_THROW((void)engine.fault_stats(2), std::out_of_range);
+}
+
+TEST(EngineBackends, PerDeviceFaultGaugesMatchFaultStats) {
+  const PointsSoA pts = uniform_box(300, 10.0f, /*seed=*/29);
+
+  QueryEngine::Config cfg;
+  cfg.devices = 2;
+  cfg.streams_per_device = 1;
+  cfg.cache_capacity = 0;
+  cfg.faults.resize(1);
+  cfg.faults[0].fail_first_n = 2;
+  QueryEngine engine(cfg);
+
+  // Submit until device 0's worker has taken a query and burned its two
+  // scheduled faults (the retries absorb them).
+  for (int i = 0; i < 64 && engine.fault_stats(0).faults() < 2; ++i) {
+    auto fut = engine.pcf(pts, 1.0 + 0.01 * i);
+    (void)get_with_watchdog(fut);
+  }
+  ASSERT_EQ(engine.fault_stats(0).faults(), 2u);
+  for (std::size_t d = 0; d < cfg.devices; ++d)
+    EXPECT_EQ(backend_gauge(engine, "gpu" + std::to_string(d), "faults"),
+              static_cast<double>(engine.fault_stats(d).faults()))
+        << "device " << d;
+  EXPECT_EQ(engine.stats().counters.failed, 0u);
 }
 
 }  // namespace
