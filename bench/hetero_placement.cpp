@@ -22,7 +22,6 @@
 #include "harness.hpp"
 #include "kernels/registry.hpp"
 #include "vgpu/device.hpp"
-#include "vgpu/stream.hpp"
 
 int main(int argc, char** argv) {
   using namespace tbs;
@@ -32,8 +31,7 @@ int main(int argc, char** argv) {
               "(SDH) ===\n\n");
 
   vgpu::Device dev;
-  vgpu::Stream stream(dev);
-  backend::VgpuBackend vgpu_be(stream);
+  backend::VgpuBackend vgpu_be(dev);
 
   // Pinned CPU cost model: a fixed per-pair cost and thread count make the
   // CPU estimates (and therefore the auto placement) deterministic, so the

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "backend/cpu_backend.hpp"
+#include "backend/vgpu_backend.hpp"
 #include "common/datagen.hpp"
 #include "common/table.hpp"
 #include "harness.hpp"
@@ -240,7 +241,6 @@ int main(int argc, char** argv) {
   std::printf("\ndrift report (serving-default variants, backend=%s):\n",
               backend.c_str());
   vgpu::Device drift_dev;
-  vgpu::Stream drift_stream(drift_dev);
   obs::DriftOptions drift_opt;
   drift_opt.only_variants = {"Reg-ROC-Out", "Register-SHM"};
   drift_opt.tolerance = drift_tol;
@@ -249,7 +249,8 @@ int main(int argc, char** argv) {
     tbs::backend::CpuBackend cpu_be;
     drift = obs::check_drift(cpu_be, drift_opt);
   } else {
-    drift = obs::check_drift(drift_stream, drift_opt);
+    tbs::backend::VgpuBackend vgpu_be(drift_dev);
+    drift = obs::check_drift(vgpu_be, drift_opt);
   }
   TextTable dt({"variant", "counter", "predicted", "measured", "rel_err"});
   for (const obs::DriftRow& row : drift.rows)

@@ -23,7 +23,7 @@ double pairs_of(double n) { return n * (n - 1.0) / 2.0; }
 CpuBackend::CpuBackend() : CpuBackend(Config{}) {}
 
 CpuBackend::CpuBackend(Config cfg)
-    : cfg_(cfg), pool_(cfg.threads), pair_cost_(cfg.pair_cost_seconds) {
+    : pool_(cfg.threads), pair_cost_(cfg.pair_cost_seconds) {
   caps_.kind = Kind::Cpu;
   caps_.name = "cpu:" + std::to_string(pool_.size()) + "w";
   caps_.registry_mask = kernels::kBackendCpu;
@@ -122,8 +122,7 @@ Estimate CpuBackend::estimate(const kernels::KernelVariant& v,
   const kernels::CpuWork work = v.cpu_work(sample, desc, target_n);
   const double threads =
       work.pooled ? static_cast<double>(pool_.size()) : 1.0;
-  return Estimate{work.pairs * pair_cost() / threads +
-                      cfg_.launch_overhead_seconds,
+  return Estimate{work.pairs * pair_cost() / threads + kLaunchOverheadSeconds,
                   work.model};
 }
 

@@ -29,12 +29,13 @@ namespace tbs::backend {
 
 class CpuBackend final : public IBackend {
  public:
+  /// Fixed per-launch overhead floor (pool fan-out, tree build) added to
+  /// every estimate so tiny-N placements don't flip on noise.
+  static constexpr double kLaunchOverheadSeconds = 50e-6;
+
   struct Config {
     /// Worker threads; 0 = std::thread::hardware_concurrency().
     unsigned threads = 0;
-    /// Fixed per-launch overhead floor (pool fan-out, tree build) added to
-    /// every estimate so tiny-N placements don't flip on noise.
-    double launch_overhead_seconds = 50e-6;
     /// Per-pair seconds for estimate(); 0 = calibrate from a timed run on
     /// first use. Tests pin this for deterministic placement regimes.
     double pair_cost_seconds = 0.0;
@@ -75,7 +76,6 @@ class CpuBackend final : public IBackend {
   /// Calibrated (or configured) per-pair cost, in seconds per core.
   double pair_cost();
 
-  Config cfg_;
   cpubase::ThreadPool pool_;
   Capabilities caps_;
   std::mutex calib_mu_;      ///< guards pair_cost_ first-use calibration

@@ -74,12 +74,7 @@ void corrupt_result(kernels::KernelOutput& out) {
 }  // namespace
 
 VgpuBackend::VgpuBackend(vgpu::Device& dev)
-    : owned_(std::in_place, dev),
-      stream_(&*owned_),
-      caps_(caps_for(dev.spec())) {}
-
-VgpuBackend::VgpuBackend(vgpu::Stream& stream)
-    : stream_(&stream), caps_(caps_for(stream.device().spec())) {}
+    : stream_(dev), caps_(caps_for(dev.spec())) {}
 
 bool VgpuBackend::can_launch(const kernels::KernelVariant& v,
                              const kernels::ProblemDesc& desc,
@@ -108,14 +103,14 @@ vgpu::KernelStats VgpuBackend::launch(const kernels::KernelVariant& v,
                                       kernels::KernelOutput& out) {
   check(v.launch != nullptr,
         "VgpuBackend: variant has no vgpu launch functor");
-  const vgpu::SilentFault silent = next_silent(stream_->device());
+  const vgpu::SilentFault silent = next_silent(stream_.device());
   vgpu::KernelStats stats;
   if (silent == vgpu::SilentFault::Staged && !pts.empty()) {
     PointsSoA poisoned = pts;
     corrupt_staged(poisoned);
-    stats = v.launch(*stream_, poisoned, desc, block_size, out);
+    stats = v.launch(stream_, poisoned, desc, block_size, out);
   } else {
-    stats = v.launch(*stream_, pts, desc, block_size, out);
+    stats = v.launch(stream_, pts, desc, block_size, out);
   }
   if (silent == vgpu::SilentFault::Result) corrupt_result(out);
   launches_.fetch_add(1, std::memory_order_relaxed);
@@ -127,7 +122,7 @@ vgpu::KernelStats VgpuBackend::launch_cross(const PointsSoA& anchors,
                                             const kernels::ProblemDesc& desc,
                                             int block_size,
                                             kernels::KernelOutput& out) {
-  const vgpu::SilentFault silent = next_silent(stream_->device());
+  const vgpu::SilentFault silent = next_silent(stream_.device());
   const PointsSoA* a = &anchors;
   PointsSoA poisoned;
   if (silent == vgpu::SilentFault::Staged && !anchors.empty()) {
@@ -138,12 +133,12 @@ vgpu::KernelStats VgpuBackend::launch_cross(const PointsSoA& anchors,
   vgpu::KernelStats stats;
   if (desc.type == kernels::ProblemType::Sdh) {
     kernels::SdhResult r =
-        kernels::run_sdh_cross(*stream_, *a, partners, desc.bucket_width,
+        kernels::run_sdh_cross(stream_, *a, partners, desc.bucket_width,
                                desc.buckets, block_size);
     if (out.hist != nullptr) *out.hist = std::move(r.hist);
     stats = r.stats;
   } else {
-    kernels::PcfResult r = kernels::run_pcf_cross(*stream_, *a, partners,
+    kernels::PcfResult r = kernels::run_pcf_cross(stream_, *a, partners,
                                                   desc.radius, block_size);
     if (out.pairs != nullptr) *out.pairs = r.pairs_within;
     stats = r.stats;
@@ -165,7 +160,7 @@ Estimate VgpuBackend::estimate(const kernels::KernelVariant& v,
   }
   const perfmodel::StatsPoly poly(kCalibN, stats);
   const auto report =
-      perfmodel::model_time(stream_->device().spec(), poly.predict(target_n));
+      perfmodel::model_time(stream_.device().spec(), poly.predict(target_n));
   return Estimate{report.seconds, report.bottleneck};
 }
 
@@ -174,7 +169,7 @@ Counters VgpuBackend::counters() const {
   c.launches = launches_.load(std::memory_order_relaxed);
   // Every launch on the device passes its injector, so its loud-fault
   // count covers the device's other lanes as well as this one.
-  if (const vgpu::FaultInjector* inj = stream_->device().fault_injector())
+  if (const vgpu::FaultInjector* inj = stream_.device().fault_injector())
     c.faults = inj->stats().faults();
   c.bytes_staged = bytes_staged_.load(std::memory_order_relaxed);
   return c;

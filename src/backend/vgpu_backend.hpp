@@ -1,19 +1,13 @@
 // VgpuBackend — the simulated-GPU substrate behind the IBackend seam.
 //
-// A thin adapter: launches go through a vgpu::Stream (blocks on the block
-// queue), so everything attached to the Device — fault injection plans,
-// launch observers, the launch counter — sees them. counters().faults is
-// the device injector's loud-fault count, which covers every lane onto
-// the device.
-// Two construction modes:
-//   * VgpuBackend(Device&): the backend owns a private stream on the
-//     device (a serve worker's lane).
-//   * VgpuBackend(Stream&): borrow the caller's stream, so launches and
-//     calibration stay on a lane the caller already owns.
+// A thin adapter: launches and calibration go through the backend's own
+// vgpu::Stream onto the device (blocks on the block queue), so everything
+// attached to the Device — fault injection plans, launch observers, the
+// launch counter — sees them. counters().faults is the device injector's
+// loud-fault count, which covers every lane onto the device.
 #pragma once
 
 #include <atomic>
-#include <optional>
 
 #include "backend/backend.hpp"
 #include "vgpu/device.hpp"
@@ -24,7 +18,6 @@ namespace tbs::backend {
 class VgpuBackend final : public IBackend {
  public:
   explicit VgpuBackend(vgpu::Device& dev);
-  explicit VgpuBackend(vgpu::Stream& stream);
 
   [[nodiscard]] const Capabilities& caps() const override { return caps_; }
 
@@ -54,12 +47,11 @@ class VgpuBackend final : public IBackend {
 
   [[nodiscard]] Counters counters() const override;
 
-  [[nodiscard]] vgpu::Device& device() noexcept { return stream_->device(); }
-  [[nodiscard]] vgpu::Stream& stream() noexcept { return *stream_; }
+  [[nodiscard]] vgpu::Device& device() noexcept { return stream_.device(); }
+  [[nodiscard]] vgpu::Stream& stream() noexcept { return stream_; }
 
  private:
-  std::optional<vgpu::Stream> owned_;  ///< set only for the Device ctor
-  vgpu::Stream* stream_;               ///< never null
+  vgpu::Stream stream_;
   Capabilities caps_;
   std::atomic<std::uint64_t> launches_{0};
   std::atomic<std::uint64_t> bytes_staged_{0};

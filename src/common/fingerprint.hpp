@@ -1,7 +1,7 @@
 // Content fingerprints — FNV-1a over raw coordinate bytes.
 //
 // One hash family identifies datasets everywhere: the serve layer's result
-// cache and coalescing key (serve/request.hpp wraps dataset_fingerprint),
+// cache and coalescing key (serve::query_key folds in dataset_fingerprint),
 // and the shard subsystem's staged-data identity (shard_fingerprint keys
 // which lane already holds which shard). The accumulator is exposed so a
 // consumer can fingerprint streamed data — feeding the whole dataset

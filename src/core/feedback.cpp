@@ -17,13 +17,6 @@ std::uint64_t estimate_n_bucket(double n) {
   return bucket;
 }
 
-EstimateCorrector::EstimateCorrector(Config cfg) : cfg_(cfg) {
-  check(cfg_.alpha > 0.0 && cfg_.alpha <= 1.0,
-        "EstimateCorrector: alpha must be in (0, 1]");
-  check(cfg_.min_factor > 0.0 && cfg_.min_factor <= cfg_.max_factor,
-        "EstimateCorrector: need 0 < min_factor <= max_factor");
-}
-
 std::string EstimateCorrector::key_of(std::string_view backend,
                                       std::string_view variant,
                                       std::uint64_t n_bucket) {
@@ -35,9 +28,9 @@ std::string EstimateCorrector::key_of(std::string_view backend,
   return key;
 }
 
-double EstimateCorrector::clamped_factor(const Entry& e) const {
-  if (e.samples < cfg_.min_samples) return 1.0;
-  return std::clamp(e.ewma_ratio, cfg_.min_factor, cfg_.max_factor);
+double EstimateCorrector::clamped_factor(const Entry& e) {
+  if (e.samples < kMinSamples) return 1.0;
+  return std::clamp(e.ewma_ratio, kMinFactor, kMaxFactor);
 }
 
 void EstimateCorrector::observe(std::string_view backend,
@@ -61,10 +54,10 @@ void EstimateCorrector::observe(std::string_view backend,
   e.recent_err_corrected =
       e.samples == 0
           ? err_corr
-          : (1.0 - cfg_.alpha) * e.recent_err_corrected + cfg_.alpha * err_corr;
+          : (1.0 - kAlpha) * e.recent_err_corrected + kAlpha * err_corr;
   e.ewma_ratio = e.samples == 0
                      ? ratio
-                     : (1.0 - cfg_.alpha) * e.ewma_ratio + cfg_.alpha * ratio;
+                     : (1.0 - kAlpha) * e.ewma_ratio + kAlpha * ratio;
   ++e.samples;
   obs::MetricsRegistry::global().counter("planner.estimate.observations").inc();
 }
@@ -148,7 +141,7 @@ void EstimateCorrector::enforce(double tolerance) const {
   {
     const std::lock_guard<std::mutex> lock(mu_);
     for (const auto& [key, e] : entries_) {
-      if (e.samples < cfg_.min_samples) continue;
+      if (e.samples < kMinSamples) continue;
       if (e.recent_err_corrected > worst_err) {
         worst_err = e.recent_err_corrected;
         worst_key = key;

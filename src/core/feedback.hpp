@@ -37,17 +37,15 @@ std::uint64_t estimate_n_bucket(double n);
 
 class EstimateCorrector {
  public:
-  struct Config {
-    /// EWMA smoothing for the ratio and the recent-error tracker.
-    double alpha = 0.3;
-    /// Correction factors are clamped to [min_factor, max_factor] so one
-    /// absurd measurement (a stalled launch) cannot poison placement.
-    double min_factor = 0.05;
-    double max_factor = 20.0;
-    /// Observations before factor() departs from 1.0 — a single noisy
-    /// sample must not start steering the planner.
-    std::uint64_t min_samples = 3;
-  };
+  /// EWMA smoothing for the ratio and the recent-error tracker.
+  static constexpr double kAlpha = 0.3;
+  /// Correction factors are clamped to [kMinFactor, kMaxFactor] so one
+  /// absurd measurement (a stalled launch) cannot poison placement.
+  static constexpr double kMinFactor = 0.05;
+  static constexpr double kMaxFactor = 20.0;
+  /// Observations before factor() departs from 1.0 — a single noisy
+  /// sample must not start steering the planner.
+  static constexpr std::uint64_t kMinSamples = 3;
 
   /// Accuracy statistics for one key (or aggregated over all keys).
   struct Stats {
@@ -63,9 +61,6 @@ class EstimateCorrector {
     double recent_err_corrected = 0.0;
   };
 
-  EstimateCorrector() : EstimateCorrector(Config{}) {}
-  explicit EstimateCorrector(Config cfg);
-
   /// Record one execution: the raw (uncorrected) estimate the backend gave
   /// for the winning candidate and the measured seconds on the same clock
   /// (modeled device seconds for vgpu, wall seconds for cpu). Non-positive
@@ -74,7 +69,7 @@ class EstimateCorrector {
                double target_n, double estimated_raw, double measured);
 
   /// Multiplier to apply to a raw estimate for this key; 1.0 until the key
-  /// has Config::min_samples observations.
+  /// has kMinSamples observations.
   [[nodiscard]] double factor(std::string_view backend,
                               std::string_view variant,
                               double target_n) const;
@@ -92,7 +87,7 @@ class EstimateCorrector {
   [[nodiscard]] std::uint64_t observations() const;
 
   /// Drift-style accuracy gate: throws CheckError naming the worst key when
-  /// any key with >= min_samples observations has recent_err_corrected
+  /// any key with >= kMinSamples observations has recent_err_corrected
   /// above `tolerance`.
   void enforce(double tolerance) const;
 
@@ -111,9 +106,8 @@ class EstimateCorrector {
   [[nodiscard]] static std::string key_of(std::string_view backend,
                                           std::string_view variant,
                                           std::uint64_t n_bucket);
-  [[nodiscard]] double clamped_factor(const Entry& e) const;
+  [[nodiscard]] static double clamped_factor(const Entry& e);
 
-  Config cfg_;
   mutable std::mutex mu_;
   std::map<std::string, Entry> entries_;
 };

@@ -73,9 +73,6 @@ void apply_correction(Plan& p, const EstimateCorrector* corrector,
 std::string plan_cache_key(std::span<backend::IBackend* const> backends,
                            const kernels::ProblemDesc& desc,
                            double target_n) {
-  std::uint64_t n_bucket = 1;
-  while (static_cast<double>(n_bucket) < target_n) n_bucket <<= 1;
-
   std::string key;
   for (const backend::IBackend* be : backends) {
     const backend::Capabilities& caps = be->caps();
@@ -95,7 +92,7 @@ std::string plan_cache_key(std::span<backend::IBackend* const> backends,
   key += '|';
   key += std::to_string(desc.radius);
   key += "|N";
-  key += std::to_string(n_bucket);
+  key += std::to_string(estimate_n_bucket(target_n));
   return key;
 }
 

@@ -207,7 +207,7 @@ std::uint64_t cpu_pcf_grid(ThreadPool& pool, const PointsSoA& pts,
 
   std::vector<std::uint64_t> partial(pool.size(), 0);
   parallel_for(
-      pool, 0, g.cells(), kCpuSchedule,
+      pool, 0, g.cells(),
       [&](unsigned id, std::size_t lo, std::size_t hi) {
         std::uint64_t count = 0;
         for (std::size_t c = lo; c < hi; ++c)
@@ -226,8 +226,7 @@ std::uint64_t cpu_pcf_grid(ThreadPool& pool, const PointsSoA& pts,
             count += hits;
           });
         partial[id] += count;
-      },
-      kCpuChunk);
+      });
 
   std::uint64_t total = 0;
   for (const auto c : partial) total += c;
@@ -245,7 +244,7 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> cpu_distance_join_grid(
   std::mutex out_mutex;
 
   parallel_for(
-      pool, 0, g.cells(), kCpuSchedule,
+      pool, 0, g.cells(),
       [&](unsigned /*id*/, std::size_t lo, std::size_t hi) {
         std::vector<std::pair<std::uint32_t, std::uint32_t>> local;
         for (std::size_t c = lo; c < hi; ++c)
@@ -258,8 +257,7 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> cpu_distance_join_grid(
           });
         const std::lock_guard lock(out_mutex);
         out.insert(out.end(), local.begin(), local.end());
-      },
-      kCpuChunk);
+      });
   return out;
 }
 
@@ -277,7 +275,7 @@ std::vector<std::vector<float>> cpu_knn_grid(ThreadPool& pool,
   std::vector<std::vector<float>> result(n);
 
   parallel_for(
-      pool, 0, g.cells(), kCpuSchedule,
+      pool, 0, g.cells(),
       [&](unsigned /*id*/, std::size_t lo, std::size_t hi) {
         // A max-heap of the k smallest dist2 values seen so far.
         std::vector<float> heap;
@@ -361,8 +359,7 @@ std::vector<std::vector<float>> cpu_knn_grid(ThreadPool& pool,
             result[cl.id[p]] = std::move(row);
           }
         }
-      },
-      kCpuChunk);
+      });
   return result;
 }
 

@@ -29,7 +29,7 @@ Histogram sdh_by_tiles(ThreadPool& pool, const PointsSoA& anchors,
       pool.size(), std::vector<std::uint64_t>(kSdhCopies * buckets, 0));
 
   parallel_for(
-      pool, 0, anchors.size(), kCpuSchedule,
+      pool, 0, anchors.size(),
       [&](unsigned id, std::size_t lo, std::size_t hi) {
         const SdhCopies out{priv[id].data(), bucket_width,
                             static_cast<int>(buckets)};
@@ -38,8 +38,7 @@ Histogram sdh_by_tiles(ThreadPool& pool, const PointsSoA& anchors,
           if (j0 < np)
             tile(anchors[i], xs + j0, ys + j0, zs + j0, np - j0, out);
         }
-      },
-      kCpuChunk);
+      });
 
   for (auto& mine : priv)
     for (std::size_t c = 1; c < kSdhCopies; ++c)
@@ -74,7 +73,7 @@ Histogram cpu_sdh(ThreadPool& pool, const PointsSoA& pts,
   const int nb = static_cast<int>(buckets);
 
   parallel_for(
-      pool, 0, n, kCpuSchedule,
+      pool, 0, n,
       [&](unsigned id, std::size_t lo, std::size_t hi) {
         std::uint64_t* mine = priv[id].data();
         for (std::size_t i = lo; i < hi; ++i) {
@@ -89,8 +88,7 @@ Histogram cpu_sdh(ThreadPool& pool, const PointsSoA& pts,
             ++mine[static_cast<std::size_t>(bucket_index(d, w, nb))];
           }
         }
-      },
-      kCpuChunk);
+      });
 
   // Tree reduction of the private copies.
   for (std::size_t stride = 1; stride < priv.size(); stride *= 2)
@@ -120,7 +118,7 @@ std::uint64_t cpu_pcf(ThreadPool& pool, const PointsSoA& pts, double radius) {
 
   std::vector<std::uint64_t> partial(pool.size(), 0);
   parallel_for(
-      pool, 0, n, kCpuSchedule,
+      pool, 0, n,
       [&](unsigned id, std::size_t lo, std::size_t hi) {
         std::uint64_t count = 0;
         for (std::size_t i = lo; i < hi; ++i) {
@@ -135,8 +133,7 @@ std::uint64_t cpu_pcf(ThreadPool& pool, const PointsSoA& pts, double radius) {
           }
         }
         partial[id] += count;
-      },
-      kCpuChunk);
+      });
 
   std::uint64_t total = 0;
   for (const auto c : partial) total += c;
@@ -154,7 +151,7 @@ std::uint64_t cpu_pcf_tiled(ThreadPool& pool, const PointsSoA& pts,
 
   std::vector<std::uint64_t> partial(pool.size(), 0);
   parallel_for(
-      pool, 0, n, kCpuSchedule,
+      pool, 0, n,
       [&](unsigned id, std::size_t lo, std::size_t hi) {
         std::uint64_t count = 0;
         for (std::size_t i = lo; i < hi; ++i) {
@@ -176,8 +173,7 @@ std::uint64_t cpu_pcf_tiled(ThreadPool& pool, const PointsSoA& pts,
           }
         }
         partial[id] += count;
-      },
-      kCpuChunk);
+      });
 
   std::uint64_t total = 0;
   for (const auto c : partial) total += c;
@@ -216,7 +212,7 @@ std::uint64_t cpu_pcf_cross(ThreadPool& pool, const PointsSoA& anchors,
 
   std::vector<std::uint64_t> partial(pool.size(), 0);
   parallel_for(
-      pool, 0, na, kCpuSchedule,
+      pool, 0, na,
       [&](unsigned id, std::size_t lo, std::size_t hi) {
         std::uint64_t count = 0;
         for (std::size_t i = lo; i < hi; ++i) {
@@ -236,8 +232,7 @@ std::uint64_t cpu_pcf_cross(ThreadPool& pool, const PointsSoA& anchors,
           }
         }
         partial[id] += count;
-      },
-      kCpuChunk);
+      });
 
   std::uint64_t total = 0;
   for (const auto c : partial) total += c;
@@ -253,7 +248,7 @@ std::vector<std::vector<float>> cpu_knn(ThreadPool& pool,
   std::vector<std::vector<float>> result(n);
 
   parallel_for(
-      pool, 0, n, kCpuSchedule,
+      pool, 0, n,
       [&](unsigned, std::size_t lo, std::size_t hi) {
         std::vector<float> d2(n);
         for (std::size_t i = lo; i < hi; ++i) {
@@ -269,8 +264,7 @@ std::vector<std::vector<float>> cpu_knn(ThreadPool& pool,
           for (auto& v : row) v = std::sqrt(v);
           result[i] = std::move(row);
         }
-      },
-      kCpuChunk);
+      });
   return result;
 }
 
@@ -282,7 +276,7 @@ std::vector<double> cpu_kde(ThreadPool& pool, const PointsSoA& pts,
   std::vector<double> f(n, 0.0);
 
   parallel_for(
-      pool, 0, n, kCpuSchedule,
+      pool, 0, n,
       [&](unsigned, std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
           const Point3 pi = pts[i];
@@ -293,8 +287,7 @@ std::vector<double> cpu_kde(ThreadPool& pool, const PointsSoA& pts,
           }
           f[i] = sum;
         }
-      },
-      kCpuChunk);
+      });
   return f;
 }
 
@@ -306,7 +299,7 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> cpu_distance_join(
   std::mutex out_mutex;
 
   parallel_for(
-      pool, 0, n, kCpuSchedule,
+      pool, 0, n,
       [&](unsigned, std::size_t lo, std::size_t hi) {
         std::vector<std::pair<std::uint32_t, std::uint32_t>> local;
         for (std::size_t i = lo; i < hi; ++i) {
@@ -319,8 +312,7 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> cpu_distance_join(
         }
         const std::lock_guard lock(out_mutex);
         out.insert(out.end(), local.begin(), local.end());
-      },
-      kCpuChunk);
+      });
   return out;
 }
 
@@ -331,15 +323,14 @@ std::vector<float> cpu_gram(ThreadPool& pool, const PointsSoA& pts,
   const auto g = static_cast<float>(gamma);
 
   parallel_for(
-      pool, 0, n, kCpuSchedule,
+      pool, 0, n,
       [&](unsigned, std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
           const Point3 pi = pts[i];
           for (std::size_t j = 0; j < n; ++j)
             k[i * n + j] = std::exp(-g * dist2(pi, pts[j]));
         }
-      },
-      kCpuChunk);
+      });
   return k;
 }
 

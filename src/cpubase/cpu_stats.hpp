@@ -16,11 +16,6 @@
 
 namespace tbs::cpubase {
 
-/// The loop schedule of every pool kernel in cpubase (paper Sec. IV-D
-/// picks guided) and its minimum grain, in outer-loop rows.
-inline constexpr Schedule kCpuSchedule = Schedule::Guided;
-inline constexpr std::size_t kCpuChunk = 64;
-
 /// Spatial distance histogram: per-thread private histograms merged by a
 /// tree reduction after all distance evaluations return.
 Histogram cpu_sdh(ThreadPool& pool, const PointsSoA& pts,

@@ -6,15 +6,6 @@
 
 namespace tbs::cpubase {
 
-const char* to_string(Schedule s) {
-  switch (s) {
-    case Schedule::Static: return "static";
-    case Schedule::Dynamic: return "dynamic";
-    case Schedule::Guided: return "guided";
-  }
-  return "?";
-}
-
 ThreadPool::ThreadPool(unsigned threads)
     : thread_count_(threads == 0
                         ? std::max(1u, std::thread::hardware_concurrency())
@@ -72,53 +63,24 @@ void ThreadPool::run_on_all(const std::function<void(unsigned)>& body) {
 }
 
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  Schedule schedule,
                   const std::function<void(unsigned, std::size_t,
-                                           std::size_t)>& body,
-                  std::size_t chunk) {
+                                           std::size_t)>& body) {
   check(begin <= end, "parallel_for: inverted range");
-  check(chunk > 0, "parallel_for: chunk must be positive");
-  const std::size_t len = end - begin;
-  if (len == 0) return;
+  if (begin == end) return;
+  constexpr std::size_t kMinChunk = 64;  // the guided schedule's grain
   const unsigned n = pool.size();
-
-  switch (schedule) {
-    case Schedule::Static: {
-      pool.run_on_all([&](unsigned id) {
-        const std::size_t lo = begin + len * id / n;
-        const std::size_t hi = begin + len * (id + 1) / n;
-        if (lo < hi) body(id, lo, hi);
-      });
-      break;
+  std::atomic<std::size_t> next{begin};
+  pool.run_on_all([&](unsigned id) {
+    for (;;) {
+      std::size_t lo = next.load(std::memory_order_relaxed);
+      std::size_t take = 0;
+      do {
+        if (lo >= end) return;
+        take = std::min(std::max(kMinChunk, (end - lo) / (2 * n)), end - lo);
+      } while (!next.compare_exchange_weak(lo, lo + take));
+      body(id, lo, lo + take);
     }
-    case Schedule::Dynamic: {
-      std::atomic<std::size_t> next{begin};
-      pool.run_on_all([&](unsigned id) {
-        for (;;) {
-          const std::size_t lo = next.fetch_add(chunk);
-          if (lo >= end) return;
-          body(id, lo, std::min(lo + chunk, end));
-        }
-      });
-      break;
-    }
-    case Schedule::Guided: {
-      std::atomic<std::size_t> next{begin};
-      pool.run_on_all([&](unsigned id) {
-        for (;;) {
-          std::size_t lo = next.load(std::memory_order_relaxed);
-          std::size_t take = 0;
-          do {
-            if (lo >= end) return;
-            take = std::max(chunk, (end - lo) / (2 * n));
-            take = std::min(take, end - lo);
-          } while (!next.compare_exchange_weak(lo, lo + take));
-          body(id, lo, lo + take);
-        }
-      });
-      break;
-    }
-  }
+  });
 }
 
 }  // namespace tbs::cpubase

@@ -1,12 +1,13 @@
-// Minimal reusable thread pool + parallel_for with OpenMP-style schedules.
+// Minimal reusable thread pool + the guided parallel_for of the CPU
+// baseline.
 //
-// The paper's CPU baseline is an OpenMP program whose tuning knobs are the
-// scheduling mode (static / dynamic / guided) and thread affinity. We
-// implement the schedules ourselves so the baseline is self-contained and
-// its behaviour is testable. Workers run unpinned: a pinning policy maps
-// worker i of *every* pool to the same core, so pools that run at once (an
-// engine's CPU workers, its failover pool) would stack on a few cores, and
-// worker 0, the calling thread, would stay pinned after the launch.
+// The paper's CPU baseline is an OpenMP program with a guided loop schedule
+// (Sec. IV-D). We implement that schedule ourselves so the baseline is
+// self-contained and its behaviour is testable. Workers run unpinned: a
+// pinning policy maps worker i of *every* pool to the same core, so pools
+// that run at once (an engine's CPU workers, its failover pool) would stack
+// on a few cores, and worker 0, the calling thread, would stay pinned after
+// the launch.
 #pragma once
 
 #include <condition_variable>
@@ -17,15 +18,6 @@
 #include <vector>
 
 namespace tbs::cpubase {
-
-/// Loop-scheduling policy, mirroring OpenMP's `schedule(...)` clause.
-enum class Schedule {
-  Static,   ///< one contiguous chunk per worker
-  Dynamic,  ///< fixed-size chunks grabbed from a shared counter
-  Guided,   ///< exponentially shrinking chunks (remaining / 2n)
-};
-
-const char* to_string(Schedule s);
 
 /// Fixed-size worker pool. Workers sleep between parallel regions.
 /// Thread-safe for one parallel_for at a time (matching OpenMP regions).
@@ -57,13 +49,11 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
-/// Parallel loop over [begin, end) with the given schedule. `body` receives
-/// (worker_id, index_begin, index_end) for each chunk; `chunk` is the
-/// dynamic-schedule grain (also the guided minimum).
+/// Parallel loop over [begin, end) with OpenMP's guided schedule: workers
+/// claim chunks of remaining / 2n indices, never fewer than 64 (or what is
+/// left). `body` receives (worker_id, index_begin, index_end) per chunk.
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  Schedule schedule,
                   const std::function<void(unsigned, std::size_t,
-                                           std::size_t)>& body,
-                  std::size_t chunk = 256);
+                                           std::size_t)>& body);
 
 }  // namespace tbs::cpubase

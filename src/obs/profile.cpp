@@ -4,7 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <fstream>
-#include <functional>
+#include <map>
 
 #include "backend/backend.hpp"
 #include "common/datagen.hpp"
@@ -15,55 +15,25 @@
 
 namespace tbs::obs {
 
-Profiler::Profiler(vgpu::Device& device, Tracer* tracer, std::size_t keep)
-    : dev_(&device), tracer_(tracer), keep_(keep) {
-  dev_->set_launch_observer(
-      [this](const vgpu::LaunchRecord& rec) { on_launch(rec); });
-}
-
-Profiler::~Profiler() { dev_->set_launch_observer(nullptr); }
-
-void Profiler::on_launch(const vgpu::LaunchRecord& rec) {
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    // The launch just finished; reconstruct its interval from wall time so
-    // it lands nested under whatever span the issuing thread has open.
-    const auto now = Tracer::Clock::now();
-    const auto start =
-        now - std::chrono::duration_cast<Tracer::Clock::duration>(
-                  std::chrono::duration<double>(rec.wall_seconds));
-    tracer_->record_span(
-        "vgpu.launch", "vgpu", start, now,
-        {{"grid", std::to_string(rec.cfg.grid_dim)},
-         {"block", std::to_string(rec.cfg.block_dim)},
-         {"warp_cycles", json::number(rec.stats->total_warp_cycles)},
-         {"pooled", rec.pooled ? "true" : "false"}});
-  }
-  const std::lock_guard<std::mutex> lock(mu_);
-  Sample s;
-  s.cfg = rec.cfg;
-  s.stats = *rec.stats;
-  s.wall_seconds = rec.wall_seconds;
-  s.launch_index = rec.launch_index;
-  s.pooled = rec.pooled;
-  ring_.push_back(std::move(s));
-  while (ring_.size() > keep_) ring_.pop_front();
-  total_.merge(*rec.stats);
-  ++launches_;
-}
-
-std::vector<Profiler::Sample> Profiler::samples() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return {ring_.begin(), ring_.end()};
-}
-
-vgpu::KernelStats Profiler::total() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return total_;
-}
-
-std::uint64_t Profiler::launches() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return launches_;
+void observe_launches(vgpu::Device& device, Tracer& tracer,
+                      Counter& launches) {
+  device.set_launch_observer(
+      [&tracer, &launches](const vgpu::LaunchRecord& rec) {
+        launches.inc();
+        if (!tracer.enabled()) return;
+        // The launch just finished; reconstruct its interval from wall time
+        // so it lands nested under whatever span the issuing thread has open.
+        const auto now = Tracer::Clock::now();
+        const auto start =
+            now - std::chrono::duration_cast<Tracer::Clock::duration>(
+                      std::chrono::duration<double>(rec.wall_seconds));
+        tracer.record_span(
+            "vgpu.launch", "vgpu", start, now, current_trace_context(),
+            {{"grid", std::to_string(rec.cfg.grid_dim)},
+             {"block", std::to_string(rec.cfg.block_dim)},
+             {"warp_cycles", json::number(rec.stats->total_warp_cycles)},
+             {"pooled", rec.pooled ? "true" : "false"}});
+      });
 }
 
 // --- drift ------------------------------------------------------------------
@@ -152,18 +122,7 @@ bool has_simulated_counters(const vgpu::KernelStats& s) {
   return false;
 }
 
-namespace {
-
-/// The launch-agnostic sweep body shared by both check_drift overloads.
-/// `can_launch` filters candidates; `measure` runs one variant at size n
-/// (fresh deterministic dataset, outputs discarded — calibration style).
-DriftReport drift_sweep(
-    const DriftOptions& opt, unsigned mask, std::string backend_name,
-    const std::function<bool(const kernels::KernelVariant&,
-                             const kernels::ProblemDesc&)>& can_launch,
-    const std::function<vgpu::KernelStats(const kernels::KernelVariant&,
-                                          const kernels::ProblemDesc&,
-                                          double)>& measure) {
+DriftReport check_drift(backend::IBackend& be, const DriftOptions& opt) {
   check(opt.calib_ns[0] < opt.calib_ns[1] && opt.calib_ns[1] < opt.calib_ns[2],
         "check_drift: calibration sizes must be strictly increasing");
   check(opt.verify_n > opt.calib_ns[2],
@@ -172,7 +131,7 @@ DriftReport drift_sweep(
   DriftReport report;
   report.tolerance = opt.tolerance;
   report.verify_n = opt.verify_n;
-  report.backend = std::move(backend_name);
+  report.backend = be.caps().name;
 
   // Fixed histogram geometry across sizes: derive the bucket width from the
   // verify-size dataset once, so every calibration launch computes the same
@@ -181,6 +140,15 @@ DriftReport drift_sweep(
       uniform_box(static_cast<std::size_t>(opt.verify_n), 10.0f, /*seed=*/42);
   const double width =
       ref.max_possible_distance() / opt.buckets + 1e-4;
+  // One variant at size n: a fresh deterministic dataset, outputs
+  // discarded (calibration style).
+  const auto measure = [&](const kernels::KernelVariant& kernel,
+                           const kernels::ProblemDesc& desc, double n) {
+    const PointsSoA pts =
+        uniform_box(static_cast<std::size_t>(n), 10.0f, /*seed=*/42);
+    kernels::KernelOutput sink;
+    return be.launch(kernel, pts, desc, opt.block_size, sink);
+  };
 
   const kernels::KernelRegistry& registry = kernels::KernelRegistry::instance();
   for (const kernels::ProblemType type :
@@ -189,15 +157,13 @@ DriftReport drift_sweep(
         type == kernels::ProblemType::Sdh
             ? kernels::ProblemDesc::sdh(width, opt.buckets)
             : kernels::ProblemDesc::pcf(opt.radius);
-    const auto variants = opt.plannable_only
-                              ? registry.plannable(type, mask)
-                              : registry.for_problem(type, mask);
-    for (const kernels::KernelVariant* kernel : variants) {
+    for (const kernels::KernelVariant* kernel :
+         registry.plannable(type, be.caps().registry_mask)) {
       if (!opt.only_variants.empty() &&
           std::find(opt.only_variants.begin(), opt.only_variants.end(),
                     kernel->name) == opt.only_variants.end())
         continue;
-      if (!can_launch(*kernel, desc))
+      if (!be.can_launch(*kernel, desc, opt.block_size))
         continue;  // not launchable at this block size on this substrate
 
       Span span(Tracer::global(), "obs.drift_check", "obs");
@@ -238,41 +204,6 @@ DriftReport drift_sweep(
   check(!report.rows.empty() || !report.skipped.empty(),
         "check_drift: no launchable variant matched");
   return report;
-}
-
-}  // namespace
-
-DriftReport check_drift(vgpu::Stream& stream, const DriftOptions& opt) {
-  return drift_sweep(
-      opt, kernels::kBackendVgpu, "vgpu:" + stream.device().spec().name,
-      [&](const kernels::KernelVariant& kernel,
-          const kernels::ProblemDesc& desc) {
-        return kernel.shared_bytes(opt.block_size, desc.buckets) <=
-               stream.device().spec().shared_mem_per_block_cap;
-      },
-      [&](const kernels::KernelVariant& kernel,
-          const kernels::ProblemDesc& desc, double n) {
-        const PointsSoA pts =
-            uniform_box(static_cast<std::size_t>(n), 10.0f, /*seed=*/42);
-        kernels::KernelOutput sink;
-        return kernel.launch(stream, pts, desc, opt.block_size, sink);
-      });
-}
-
-DriftReport check_drift(backend::IBackend& be, const DriftOptions& opt) {
-  return drift_sweep(
-      opt, be.caps().registry_mask, be.caps().name,
-      [&](const kernels::KernelVariant& kernel,
-          const kernels::ProblemDesc& desc) {
-        return be.can_launch(kernel, desc, opt.block_size);
-      },
-      [&](const kernels::KernelVariant& kernel,
-          const kernels::ProblemDesc& desc, double n) {
-        const PointsSoA pts =
-            uniform_box(static_cast<std::size_t>(n), 10.0f, /*seed=*/42);
-        kernels::KernelOutput sink;
-        return be.launch(kernel, pts, desc, opt.block_size, sink);
-      });
 }
 
 namespace {

@@ -1,15 +1,15 @@
-// Profiler hook + model-vs-measured drift reports.
+// The launch hook + model-vs-measured drift reports.
 //
 // The paper validates its analytical access-count models (Eqs. 2–7)
 // against NVIDIA Visual Profiler counters; this file keeps that discipline
 // running continuously. Two tools:
 //
-// 1. Profiler — attaches to a vgpu::Device via its LaunchObserver hook,
-//    keeps the most recent per-launch KernelStats (plus a merged total),
-//    and emits a `vgpu.launch` span per launch so kernel work shows up in
-//    the trace timeline nested under whatever the caller had open.
+// 1. observe_launches() — attaches to a vgpu::Device via its
+//    LaunchObserver hook, counts every launch and emits a `vgpu.launch`
+//    span per launch so kernel work shows up in the trace timeline nested
+//    under whatever the caller had open.
 //
-// 2. check_drift() — for each registered kernel variant, calibrates
+// 2. check_drift() — for each plannable kernel variant, calibrates
 //    perfmodel::StatsPoly at three small sizes, predicts the access
 //    counters at a held-out larger size, measures that size for real, and
 //    reports the per-counter relative error. The polynomial model is exact
@@ -20,15 +20,13 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "vgpu/device.hpp"
-#include "vgpu/stream.hpp"
 
 namespace tbs::backend {
 class IBackend;
@@ -36,49 +34,14 @@ class IBackend;
 
 namespace tbs::obs {
 
-/// Captures per-launch counters from one device; optionally traces each
-/// launch. Installs itself as the device's launch observer on construction
-/// and uninstalls on destruction — one profiler per device at a time
-/// (installing a second replaces the first's hook; don't).
-class Profiler {
- public:
-  struct Sample {
-    vgpu::LaunchConfig cfg;
-    vgpu::KernelStats stats;
-    double wall_seconds = 0.0;
-    std::uint64_t launch_index = 0;
-    bool pooled = false;
-  };
-
-  /// `tracer` may be null (no spans, capture only); `keep` bounds the
-  /// retained per-launch ring (older samples fall off; totals keep
-  /// accumulating).
-  explicit Profiler(vgpu::Device& device, Tracer* tracer = nullptr,
-                    std::size_t keep = 512);
-  ~Profiler();
-
-  Profiler(const Profiler&) = delete;
-  Profiler& operator=(const Profiler&) = delete;
-
-  /// Most recent `keep` launches, oldest first.
-  [[nodiscard]] std::vector<Sample> samples() const;
-
-  /// Counters merged over every launch observed (not just the ring).
-  [[nodiscard]] vgpu::KernelStats total() const;
-
-  [[nodiscard]] std::uint64_t launches() const;
-
- private:
-  void on_launch(const vgpu::LaunchRecord& rec);
-
-  vgpu::Device* dev_;
-  Tracer* tracer_;
-  std::size_t keep_;
-  mutable std::mutex mu_;
-  std::deque<Sample> ring_;
-  vgpu::KernelStats total_;
-  std::uint64_t launches_ = 0;
-};
+/// Install `device`'s launch observer (replacing any other). Every launch
+/// bumps `launches`; while `tracer` is enabled it also records a
+/// `vgpu.launch` span (grid, block, warp_cycles, pooled) under the issuing
+/// thread's trace context — a worker's serve.execute span, a shard lane's
+/// ScopedTraceContext — so the launch joins the trace of the query that
+/// made it. `tracer` and `launches` must outlive the device's launches.
+void observe_launches(vgpu::Device& device, Tracer& tracer,
+                      Counter& launches);
 
 /// Documented drift tolerance: every predicted-vs-measured access counter
 /// must be within 5% relative error. The StatsPoly fit is mathematically
@@ -121,7 +84,8 @@ struct DriftReport {
   bool write_json(const std::string& path) const;
 };
 
-/// Which variants and sizes check_drift() sweeps.
+/// Which planner-eligible variants (the ones serving traffic) and sizes
+/// check_drift() sweeps.
 struct DriftOptions {
   /// Calibration sizes for the StatsPoly fit (strictly increasing).
   std::array<double, 3> calib_ns = {512, 1024, 2048};
@@ -131,24 +95,18 @@ struct DriftOptions {
   int buckets = 64;      ///< SDH histogram size
   double radius = 2.0;   ///< PCF cutoff
   double tolerance = kDriftTolerance;
-  /// Restrict to planner-eligible variants (the ones serving traffic);
-  /// false sweeps every registered variant.
-  bool plannable_only = true;
   /// Optional name filter: when non-empty, only variants whose registry
   /// name appears here are checked (e.g. the serving defaults).
   std::vector<std::string> only_variants;
 };
 
-/// Run the drift sweep on `stream`'s device. Each row compares one access
-/// counter (global/shared/ROC loads+stores+atomics, shuffles, warp cycles)
-/// of one variant. Deterministic: fixed datagen seeds, fixed sizes.
-DriftReport check_drift(vgpu::Stream& stream, const DriftOptions& opt = {});
-
-/// Backend-seam overload: the sweep launches through `be`, prices only the
-/// variants its registry mask admits, and *skips* (records in
-/// DriftReport::skipped) any variant whose measured run has no simulated
-/// device counters — a CPU launch has nothing for Eqs. 2–7 to predict, so
-/// the CI drift gate passes cleanly instead of failing with 100% error.
+/// Run the drift sweep through `be`. Each row compares one access counter
+/// (global/shared/ROC loads+stores+atomics, shuffles, warp cycles) of one
+/// variant its registry mask admits. Deterministic: fixed datagen seeds,
+/// fixed sizes. A variant whose measured run has no simulated device
+/// counters is *skipped* (recorded in DriftReport::skipped) — a CPU launch
+/// has nothing for Eqs. 2–7 to predict, so the CI drift gate passes
+/// cleanly instead of failing with 100% error.
 DriftReport check_drift(backend::IBackend& be, const DriftOptions& opt = {});
 
 /// True when the stats carry at least one simulated-device access counter

@@ -12,6 +12,7 @@
 #include "common/error.hpp"
 #include "common/fingerprint.hpp"
 #include "kernels/registry.hpp"
+#include "obs/profile.hpp"
 #include "perfmodel/timemodel.hpp"
 #include "serve/integrity.hpp"
 
@@ -21,6 +22,9 @@ namespace {
 
 /// Block size of every unplanned launch.
 constexpr int kDefaultBlock = 256;
+
+/// Seed of the per-submission audit coin.
+constexpr std::uint64_t kAuditSeed = 0xA0D17ULL;
 
 double wall_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -178,6 +182,7 @@ QueryEngine::QueryEngine(Config cfg)
       flight_(cfg.flight_capacity, cfg.flight),
       h_latency_(metrics_.histogram("serve.latency_seconds",
                                     obs::default_latency_bounds())),
+      slots_(cfg.devices + cfg.cpu_workers),
       queue_(cfg.queue_capacity),
       cache_(cfg.cache_capacity),
       slo_(cfg.slo) {
@@ -195,48 +200,32 @@ QueryEngine::QueryEngine(Config cfg)
         "QueryEngine: shard_hedge_after_seconds must be >= 0");
   for (const CounterDef& c : kCounters)
     counters_.push_back(&metrics_.counter(c.name));
-  obs::Counter* const launches = &metrics_.counter("vgpu.launches");
-  slots_.reserve(cfg_.devices);
+  // Every device gets one backend, which its stream workers and its shard
+  // lane share under the slot's lock. Its launch hook counts into the
+  // engine registry and traces each launch under the issuing thread's
+  // context — a worker inside its serve.execute span, or a shard lane
+  // thread under its ScopedTraceContext — so the launch joins the owning
+  // query's trace.
+  obs::Counter& launches = metrics_.counter("vgpu.launches");
   for (std::size_t d = 0; d < cfg_.devices; ++d) {
-    slots_.push_back(std::make_unique<DeviceSlot>(cfg_.spec));
+    Slot& slot = slots_[d];
+    slot.dev = std::make_unique<vgpu::Device>(cfg_.spec);
     // Chaos: arm the device's fault injector when a plan was configured.
-    if (d < cfg_.faults.size())
-      slots_.back()->dev.set_fault_plan(cfg_.faults[d]);
-    // Per-launch hook: count into the engine registry and, when tracing,
-    // emit a vgpu.launch span. The callback runs on the thread that issued
-    // the launch — a worker inside its serve.execute span, or a shard lane
-    // thread under its ScopedTraceContext — so the thread's current trace
-    // context is exactly the owning query's, and the launch span joins its
-    // trace.
-    slots_.back()->dev.set_launch_observer(
-        [this, launches](const vgpu::LaunchRecord& rec) {
-          launches->inc();
-          if (!tracer_->enabled()) return;
-          const auto now = obs::Tracer::Clock::now();
-          const auto start =
-              now - std::chrono::duration_cast<obs::Tracer::Clock::duration>(
-                        std::chrono::duration<double>(rec.wall_seconds));
-          tracer_->record_span(
-              "vgpu.launch", "vgpu", start, now, obs::current_trace_context(),
-              {{"grid", std::to_string(rec.cfg.grid_dim)},
-               {"block", std::to_string(rec.cfg.block_dim)},
-               {"pooled", rec.pooled ? "true" : "false"}});
-        });
+    if (d < cfg_.faults.size()) slot.dev->set_fault_plan(cfg_.faults[d]);
+    obs::observe_launches(*slot.dev, *tracer_, launches);
+    slot.be = std::make_unique<backend::VgpuBackend>(*slot.dev);
+    shard_lanes_.push_back(
+        {slot.be.get(), &slot.mu, "gpu" + std::to_string(d)});
   }
-  cpu_slots_.reserve(cfg_.cpu_workers);
-  for (std::size_t w = 0; w < cfg_.cpu_workers; ++w) {
+  for (std::size_t i = 0; i < cfg_.cpu_workers; ++i) {
+    Slot& slot = slots_[cfg_.devices + i];
     backend::CpuBackend::Config bc;
     bc.threads = cfg_.cpu_threads;
     bc.pair_cost_seconds = cfg_.cpu_pair_cost_seconds;
-    cpu_slots_.push_back(std::make_unique<CpuSlot>(bc));
+    slot.be = std::make_unique<backend::CpuBackend>(bc);
+    shard_lanes_.push_back(
+        {slot.be.get(), &slot.mu, "cpu" + std::to_string(i)});
   }
-  // One persistent lane backend per device for the sharded path. These
-  // share the per-device launch lock with the regular stream workers, so
-  // tile launches and ordinary queries serialize on the same mutex.
-  shard_vgpu_.reserve(cfg_.devices);
-  for (std::size_t d = 0; d < cfg_.devices; ++d)
-    shard_vgpu_.push_back(
-        std::make_unique<backend::VgpuBackend>(slots_[d]->dev));
   breakers_.reserve(worker_count());
   for (std::size_t w = 0; w < worker_count(); ++w)
     breakers_.push_back(std::make_unique<CircuitBreaker>(cfg_.breaker));
@@ -364,7 +353,7 @@ std::optional<QueryEngine::ResultFuture> QueryEngine::submit_impl(
   // acquire a cache identity — it would execute, produce a garbage
   // histogram, and serve it to every future identical submission.
   validate_input(query, pts);
-  const std::uint64_t fp = serve::dataset_fingerprint(pts);
+  const std::uint64_t fp = dataset_fingerprint(pts);
   const std::string key = query_key(query, fp);
   // Every submission gets a trace identity, tracing on or off — exemplars
   // and flight-recorder events name queries by trace id either way. The
@@ -477,21 +466,12 @@ std::optional<QueryEngine::ResultFuture> QueryEngine::submit_impl(
 }
 
 void QueryEngine::worker_loop(std::size_t worker_index) {
-  // Bind this worker's substrate: vgpu workers own a stream-lane onto
-  // their device (and borrow the device's launch lock); CPU workers bind
-  // the engine-owned CpuBackend at their index.
-  std::optional<backend::VgpuBackend> vgpu_be;
-  WorkerCtx ctx = [&]() -> WorkerCtx {
-    if (worker_index < gpu_worker_count()) {
-      DeviceSlot& slot = *slots_[worker_index / cfg_.streams_per_device];
-      vgpu_be.emplace(slot.dev);  // this worker's lane onto the device
-      return WorkerCtx{worker_index, *vgpu_be, slot.mu,
-                       *breakers_[worker_index]};
-    }
-    CpuSlot& slot = *cpu_slots_[worker_index - gpu_worker_count()];
-    return WorkerCtx{worker_index, slot.be, slot.mu,
-                     *breakers_[worker_index]};
-  }();
+  // Bind this worker's slot: its device's shared backend for a vgpu
+  // worker, its own CpuBackend for a CPU worker.
+  Slot& slot = slots_[worker_index < gpu_worker_count()
+                          ? worker_index / cfg_.streams_per_device
+                          : cfg_.devices + worker_index - gpu_worker_count()];
+  WorkerCtx ctx{worker_index, *slot.be, slot.mu, *breakers_[worker_index]};
   // Jitter RNG, salted per worker so backoffs decorrelate across the pool.
   Rng rng(cfg_.retry.seed ^
           (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(worker_index + 1)));
@@ -906,18 +886,6 @@ bool QueryEngine::run_sharded(WorkerCtx& ctx,
                               obs::QueryCost& qc) {
   note(Event::ShardQuery, *job, ctx.index);
 
-  // Every device plus every CPU slot is a lane; lane index is stable
-  // across runs (devices first, CPU slots after), which is what makes the
-  // router's staged-set bookkeeping meaningful between queries.
-  std::vector<shard::Lane> lanes;
-  lanes.reserve(shard_vgpu_.size() + cpu_slots_.size());
-  for (std::size_t d = 0; d < shard_vgpu_.size(); ++d)
-    lanes.push_back(shard::Lane{shard_vgpu_[d].get(), &slots_[d]->mu,
-                                "gpu" + std::to_string(d)});
-  for (std::size_t i = 0; i < cpu_slots_.size(); ++i)
-    lanes.push_back(shard::Lane{&cpu_slots_[i]->be, &cpu_slots_[i]->mu,
-                                "cpu" + std::to_string(i)});
-
   // Sharded jobs skip the planner: calibration launches cannot safely run
   // while the executor interleaves tile launches over the same lane
   // mutexes, so tiles use the fixed dual-backend default variant.
@@ -934,7 +902,7 @@ bool QueryEngine::run_sharded(WorkerCtx& ctx,
   const Clock::time_point s0 = Clock::now();
   try {
     shard::Report rep = ex.run(
-        lanes, *job->pts, job->problem.desc, sopt,
+        shard_lanes_, *job->pts, job->problem.desc, sopt,
         [&](std::size_t lane, std::size_t tiles) {
           note(Event::ShardFailover, *job, lane);
           note(Event::ShardTilesFailedOver, *job, lane, tiles);
@@ -1097,7 +1065,7 @@ bool QueryEngine::maybe_audit(WorkerCtx& ctx,
   if (!sampled && cfg_.audit_rate > 0.0) {
     // Deterministic per-submission sampling: the same workload audits the
     // same queries on every run.
-    Rng coin(cfg_.audit_seed ^
+    Rng coin(kAuditSeed ^
              (0x9e3779b97f4a7c15ULL * (job->seq + 1)));
     sampled = coin.uniform() < cfg_.audit_rate;
   }
@@ -1204,33 +1172,20 @@ void QueryEngine::refresh_gauges(const EngineStats& s) const {
     metrics_.gauge("serve.slo.error_breaches")
         .set(static_cast<double>(slo_.error_breaches()));
   }
-  // Per-backend health: `backend.gpu<d>.*` pairs the device-wide launch
-  // and fault counts (the device's injector sees the launches of every
-  // worker lane, the shard lane and calibration) with the shard-lane
-  // backend's staging counter; `backend.cpu<i>.*` reads the CPU worker's
-  // backend directly. Counter reads take the same launch lock
-  // launch_count() does.
-  for (std::size_t d = 0; d < slots_.size(); ++d) {
-    backend::Counters bc;
-    std::uint64_t dev_launches = 0;
-    {
-      const std::lock_guard<std::mutex> lock(slots_[d]->mu);
-      bc = shard_vgpu_[d]->counters();
-      dev_launches = slots_[d]->dev.launch_count();
-    }
-    const std::string base = "backend.gpu" + std::to_string(d) + ".";
-    metrics_.gauge(base + "launches").set(static_cast<double>(dev_launches));
-    metrics_.gauge(base + "faults").set(static_cast<double>(bc.faults));
-    metrics_.gauge(base + "staged_bytes")
-        .set(static_cast<double>(bc.bytes_staged));
-  }
-  for (std::size_t i = 0; i < cpu_slots_.size(); ++i) {
+  // Per-backend health, one `backend.<lane>.*` set per slot. A device's
+  // launch gauge is the device-wide count (one backend launch may run
+  // several kernels); its fault gauge is the device injector's, which sees
+  // every lane. Counter reads take the same launch lock launch_count()
+  // does.
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    const Slot& slot = slots_[i];
     backend::Counters bc;
     {
-      const std::lock_guard<std::mutex> lock(cpu_slots_[i]->mu);
-      bc = cpu_slots_[i]->be.counters();
+      const std::lock_guard<std::mutex> lock(slot.mu);
+      bc = slot.be->counters();
+      if (slot.dev) bc.launches = slot.dev->launch_count();
     }
-    const std::string base = "backend.cpu" + std::to_string(i) + ".";
+    const std::string base = "backend." + shard_lanes_[i].name + ".";
     metrics_.gauge(base + "launches").set(static_cast<double>(bc.launches));
     metrics_.gauge(base + "faults").set(static_cast<double>(bc.faults));
     metrics_.gauge(base + "staged_bytes")
@@ -1270,13 +1225,9 @@ std::string QueryEngine::metrics_json() const {
 
 std::uint64_t QueryEngine::launch_count() const {
   std::uint64_t total = 0;
-  for (const std::unique_ptr<DeviceSlot>& slot : slots_) {
-    const std::lock_guard<std::mutex> lock(slot->mu);
-    total += slot->dev.launch_count();
-  }
-  for (const std::unique_ptr<CpuSlot>& slot : cpu_slots_) {
-    const std::lock_guard<std::mutex> lock(slot->mu);
-    total += slot->be.counters().launches;
+  for (const Slot& slot : slots_) {
+    const std::lock_guard<std::mutex> lock(slot.mu);
+    total += slot.dev ? slot.dev->launch_count() : slot.be->counters().launches;
   }
   {
     const std::lock_guard<std::mutex> lock(failover_mu_);
@@ -1286,9 +1237,12 @@ std::uint64_t QueryEngine::launch_count() const {
 }
 
 vgpu::FaultStats QueryEngine::fault_stats(std::size_t device) const {
-  const std::unique_ptr<DeviceSlot>& slot = slots_.at(device);
-  const std::lock_guard<std::mutex> lock(slot->mu);
-  const vgpu::FaultInjector* inj = slot->dev.fault_injector();
+  if (device >= cfg_.devices)
+    throw std::out_of_range("QueryEngine::fault_stats: no device " +
+                            std::to_string(device));
+  const Slot& slot = slots_[device];
+  const std::lock_guard<std::mutex> lock(slot.mu);
+  const vgpu::FaultInjector* inj = slot.dev->fault_injector();
   return inj != nullptr ? inj->stats() : vgpu::FaultStats{};
 }
 

@@ -188,14 +188,13 @@ class QueryEngine {
     /// Sampled cross-backend audit rate: this fraction of successfully
     /// completed answers (every query type) is re-executed on the
     /// independent CPU failover backend and compared bit-exact before
-    /// delivery. Sampling is deterministic per submission sequence number
-    /// (audit_seed), and every invariant-flagged query is audited
-    /// regardless of the rate.
+    /// delivery. Sampling is deterministic per submission sequence number,
+    /// and every invariant-flagged query is audited regardless of the
+    /// rate.
     /// A mismatch quarantines the producing worker's breaker, purges the
     /// cache entries that backend wrote, and delivers the audited answer.
     /// 0 disables sampling (flagged queries are still audited when > 0).
     double audit_rate = 0.0;
-    std::uint64_t audit_seed = 0xA0D17ULL;
     /// Straggler hedging for the sharded path: tiles whose lane stalls
     /// longer than this many wall seconds are re-launched on an idle spare
     /// lane, first valid result wins (see shard::Options). 0 disables.
@@ -385,20 +384,21 @@ class QueryEngine {
     bool integrity_flagged = false;
   };
 
-  /// One simulated device plus the host lock serializing launches on it
-  /// (a Device is not thread-safe across streams; each worker owns its
-  /// stream but takes this lock for the duration of an execution).
-  struct DeviceSlot {
-    explicit DeviceSlot(const vgpu::DeviceSpec& spec) : dev(spec) {}
-    vgpu::Device dev;
-    std::mutex mu;
+  /// One launch substrate of the pool: a simulated device and its one
+  /// backend, or a CPU worker's backend, plus the host lock serializing
+  /// launches on it. A device's stream workers and its shard lane share
+  /// its backend under this lock (a Device is not thread-safe across
+  /// lanes); a CPU worker's lock never contends, but the ladder code stays
+  /// substrate-agnostic.
+  struct Slot {
+    std::unique_ptr<vgpu::Device> dev;  ///< null for a CPU worker
+    /// Borrows dev, so it is declared after it (and destroyed first).
+    std::unique_ptr<backend::IBackend> be;
+    mutable std::mutex mu;
   };
 
   /// Everything a worker binds once and threads through the ladder: its
-  /// backend handle, the lock serializing launches on that substrate, and
-  /// its breaker. vgpu workers borrow their DeviceSlot's mutex; CPU
-  /// workers own a per-worker mutex (one thread each, so it never
-  /// contends, but the ladder code stays substrate-agnostic).
+  /// slot's backend and launch lock, and its breaker.
   struct WorkerCtx {
     std::size_t index;
     backend::IBackend& be;
@@ -548,26 +548,21 @@ class QueryEngine {
   /// transition.
   std::vector<obs::Gauge*> g_worker_inflight_;
 
-  std::vector<std::unique_ptr<DeviceSlot>> slots_;
-  /// CPU workers' backends, index = worker_index - gpu_worker_count().
-  /// Owned by the engine (not the worker thread) so launch_count() and
-  /// stats() can read their counters at any time.
-  struct CpuSlot {
-    explicit CpuSlot(const backend::CpuBackend::Config& cfg) : be(cfg) {}
-    backend::CpuBackend be;
-    std::mutex mu;
-  };
-  std::vector<std::unique_ptr<CpuSlot>> cpu_slots_;
+  /// Every device's slot, then every CPU worker's: worker w runs on slot
+  /// w / streams_per_device when it is a vgpu worker, and on slot
+  /// devices + (w - gpu_worker_count()) otherwise. Owned by the engine
+  /// (not the worker threads) so launch_count() and stats() can read the
+  /// counters at any time.
+  std::vector<Slot> slots_;
+  /// The sharded path's lanes, one per slot in slot order ("gpu<d>",
+  /// "cpu<i>"), so tile launches serialize on the slots' locks against
+  /// the regular workers. A stable lane index is what makes the router's
+  /// staged-set bookkeeping meaningful between queries.
+  std::vector<shard::Lane> shard_lanes_;
   /// Cross-backend failover target (lazy; guarded by failover_mu_, which
   /// is mutable so launch_count() can read the counters).
   mutable std::mutex failover_mu_;
   std::unique_ptr<backend::CpuBackend> failover_cpu_;
-  /// One persistent per-device backend for the sharded path. A sharded
-  /// query's executor launches tiles on several devices; each lane pairs
-  /// shard_vgpu_[d] with slots_[d]->mu so tile launches serialize against
-  /// the regular per-device workers. Declared after slots_ (destroyed
-  /// first) because each backend borrows its slot's Device.
-  std::vector<std::unique_ptr<backend::VgpuBackend>> shard_vgpu_;
   /// Which shard fingerprints are staged on which lane — partition-aware
   /// routing keeps a shard's tiles on the lane already holding its data.
   shard::Router shard_router_;

@@ -1,7 +1,5 @@
 #include "serve/request.hpp"
 
-#include "common/fingerprint.hpp"
-
 namespace tbs::serve {
 
 const char* kind_name(const Query& q) {
@@ -37,14 +35,6 @@ kernels::KernelOutput output_sinks(const Query& q, QueryResult& r) {
     default: out.join_pairs = &r.emplace<kernels::JoinResult>().pairs; break;
   }
   return out;
-}
-
-std::uint64_t dataset_fingerprint(const PointsSoA& pts) {
-  // Delegates to the shared FNV-1a in common/fingerprint.hpp — the shard
-  // subsystem fingerprints staged shards with the same family, and the
-  // bit-for-bit agreement is what lets a sharded execution land on the
-  // same cache entry as an unsharded one (see shard/partition.hpp).
-  return tbs::dataset_fingerprint(pts);
 }
 
 std::string query_key(const Query& q, std::uint64_t dataset_fp) {

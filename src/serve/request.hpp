@@ -66,13 +66,10 @@ Problem problem_of(const Query& q);
 /// reassigned).
 kernels::KernelOutput output_sinks(const Query& q, QueryResult& r);
 
-/// FNV-1a over the point count and raw coordinate bytes. Identifies the
-/// dataset by content, so equal point sets hash equal regardless of which
-/// client owns the container.
-std::uint64_t dataset_fingerprint(const PointsSoA& pts);
-
 /// The coalescing / result-cache key: kind, exact parameters, dataset
-/// fingerprint. Equal keys mean "the same computation" — the engine runs
+/// fingerprint (tbs::dataset_fingerprint, the FNV-1a shared with the shard
+/// subsystem, so a sharded execution lands on the same cache entry as an
+/// unsharded one). Equal keys mean "the same computation" — the engine runs
 /// one of them and fans the result out.
 std::string query_key(const Query& q, std::uint64_t dataset_fp);
 

@@ -739,7 +739,6 @@ KernelStats Device::execute_launch(const LaunchConfig& cfg,
     rec.wall_seconds = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - wall_start)
                            .count();
-    rec.launch_index = launches_done_;
     rec.pooled = pooled;
     observer_(rec);
   }

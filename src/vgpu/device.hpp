@@ -24,15 +24,14 @@ class LaunchTarget;
 using KernelBody = std::function<KernelTask(ThreadCtx&)>;
 
 /// What a launch observer learns about one executed launch — the profiler
-/// attachment point (obs::Profiler and the serve engine both hook it).
-/// `stats` points at the launch's counters and is valid only for the
-/// duration of the callback.
+/// attachment point (obs::observe_launches hooks it). `stats` points at
+/// the launch's counters and is valid only for the duration of the
+/// callback.
 struct LaunchRecord {
   LaunchConfig cfg;
   const KernelStats* stats = nullptr;
-  double wall_seconds = 0.0;      ///< host wall time spent simulating
-  std::uint64_t launch_index = 0; ///< launch_count() after this launch
-  bool pooled = false;            ///< issued through a Stream (pooled)
+  double wall_seconds = 0.0;  ///< host wall time spent simulating
+  bool pooled = false;        ///< issued through a Stream (pooled)
 };
 
 /// Per-launch callback. Invoked on the thread that issued the launch,
@@ -75,9 +74,6 @@ class Device {
   /// (a Device is driven from one host thread at a time).
   void set_launch_observer(LaunchObserver observer) {
     observer_ = std::move(observer);
-  }
-  [[nodiscard]] bool has_launch_observer() const noexcept {
-    return static_cast<bool>(observer_);
   }
 
   /// Install a chaos schedule on this device: every subsequent launch

@@ -28,18 +28,6 @@ enum class OpKind : std::uint8_t {
   Barrier,
 };
 
-/// True for ops whose addresses live in the per-block shared arena.
-constexpr bool is_shared_op(OpKind k) noexcept {
-  return k == OpKind::SharedLoad || k == OpKind::SharedStore ||
-         k == OpKind::SharedAtomic;
-}
-
-/// True for ops that touch global memory (directly or via a cache).
-constexpr bool is_global_op(OpKind k) noexcept {
-  return k == OpKind::GlobalLoad || k == OpKind::GlobalStore ||
-         k == OpKind::GlobalAtomic || k == OpKind::RocLoad;
-}
-
 /// One lane's suspended operation. Up to three addresses so that a 3-D point
 /// (SoA x/y/z) can be fetched as one logical instruction.
 struct PendingOp {

@@ -23,7 +23,6 @@
 #include "kernels/type3.hpp"
 #include "obs/profile.hpp"
 #include "vgpu/device.hpp"
-#include "vgpu/stream.hpp"
 
 namespace tbs {
 namespace {
@@ -46,7 +45,7 @@ int usable_block(backend::IBackend& a, backend::IBackend& b,
 
 class BackendParity : public ::testing::Test {
  protected:
-  BackendParity() : stream_(dev_), vgpu_be_(stream_), cpu_be_(cpu_config()) {}
+  BackendParity() : vgpu_be_(dev_), cpu_be_(cpu_config()) {}
 
   static backend::CpuBackend::Config cpu_config() {
     backend::CpuBackend::Config c;
@@ -55,7 +54,6 @@ class BackendParity : public ::testing::Test {
   }
 
   vgpu::Device dev_;
-  vgpu::Stream stream_;
   backend::VgpuBackend vgpu_be_;
   backend::CpuBackend cpu_be_;
 };

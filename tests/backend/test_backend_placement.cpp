@@ -21,7 +21,6 @@
 #include "core/planner.hpp"
 #include "kernels/registry.hpp"
 #include "vgpu/device.hpp"
-#include "vgpu/stream.hpp"
 
 namespace tbs {
 namespace {
@@ -36,10 +35,9 @@ backend::CpuBackend::Config pinned_cpu_config() {
 class BackendPlacement : public ::testing::Test {
  protected:
   BackendPlacement()
-      : stream_(dev_), vgpu_be_(stream_), cpu_be_(pinned_cpu_config()) {}
+      : vgpu_be_(dev_), cpu_be_(pinned_cpu_config()) {}
 
   vgpu::Device dev_;
-  vgpu::Stream stream_;
   backend::VgpuBackend vgpu_be_;
   backend::CpuBackend cpu_be_;
 };

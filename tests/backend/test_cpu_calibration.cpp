@@ -75,7 +75,7 @@ TEST(CpuCalibration, PinnedPairCostSkipsCalibrationAndIsDeterministic) {
   // Quadratic pricing: pairs * pair_cost / threads + fixed overhead.
   EXPECT_DOUBLE_EQ(e.seconds,
                    pairs * cfg.pair_cost_seconds / 4.0 +
-                       cfg.launch_overhead_seconds);
+                       CpuBackend::kLaunchOverheadSeconds);
   // And pinned means pinned: a second call is bit-identical.
   EXPECT_DOUBLE_EQ(be.estimate(v, sample, desc, 128, n).seconds, e.seconds);
 }
@@ -97,7 +97,7 @@ TEST(CpuCalibration, PcfIsPricedByTheGridsCandidatePairs) {
   const Estimate e = be.estimate(*v, pts, desc, 256, n);
   EXPECT_DOUBLE_EQ(e.seconds, cpubase::pcf_grid_pairs(pts, 1.0) *
                                       cfg.pair_cost_seconds / 2.0 +
-                                  cfg.launch_overhead_seconds);
+                                  CpuBackend::kLaunchOverheadSeconds);
   const double all_pairs = n * (n - 1.0) / 2.0;
   EXPECT_LT(e.seconds, all_pairs * cfg.pair_cost_seconds / 2.0 / 10.0);
 }

@@ -26,7 +26,7 @@ TEST(EstimateNBucket, RoundsUpToPowersOfTwo) {
 }
 
 TEST(EstimateCorrector, FactorStaysUnityUntilWarmedUp) {
-  EstimateCorrector c;  // min_samples = 3
+  EstimateCorrector c;  // kMinSamples = 3
   EXPECT_DOUBLE_EQ(c.factor("vgpu", "Reg-ROC-Out/B256", 4096.0), 1.0);
   c.observe("vgpu", "Reg-ROC-Out/B256", 4096.0, 1.0, 2.0);
   c.observe("vgpu", "Reg-ROC-Out/B256", 4096.0, 1.0, 2.0);
@@ -109,7 +109,7 @@ TEST(EstimateCorrector, EnforcePassesWhenConvergedAndTripsOnBlowout) {
 TEST(EstimateCorrector, EnforceIgnoresColdKeys) {
   EstimateCorrector c;
   c.observe("vgpu", "v/B64", 512.0, 0.001, 1.0);  // one wild sample
-  EXPECT_NO_THROW(c.enforce(0.01));  // below min_samples: not judged
+  EXPECT_NO_THROW(c.enforce(0.01));  // below kMinSamples: not judged
 }
 
 TEST(EstimateCorrector, JsonCarriesPerKeyAccuracy) {

@@ -14,39 +14,36 @@
 #include "core/planner.hpp"
 #include "kernels/registry.hpp"
 #include "vgpu/device.hpp"
-#include "vgpu/stream.hpp"
 
 namespace tbs::core {
 namespace {
 
 using kernels::ProblemDesc;
 
-TEST(GenericPlan, AgreesAcrossStreamAndDeviceBackends) {
-  // A VgpuBackend borrowing a caller's stream and one owning its stream
-  // (as the framework and the serve engine plan) must reach the same plan
-  // on equal devices.
+TEST(GenericPlan, AgreesAcrossBackendsOnEqualDevices) {
+  // Two VgpuBackends on two equal devices (as the framework and the serve
+  // engine plan) must reach the same plan.
   const auto sample = uniform_box(2048, 10.0f, 3);
   const int buckets = 64;
   const double width = sample.max_possible_distance() / buckets + 1e-4;
   const auto desc = ProblemDesc::sdh(width, buckets);
 
   vgpu::Device dev;
-  vgpu::Stream stream(dev);
-  backend::VgpuBackend borrowed(stream);
-  backend::IBackend* one[] = {&borrowed};
-  const Plan lent = plan(one, sample, desc, 100'000.0);
-  ASSERT_NE(lent.kernel, nullptr);
+  backend::VgpuBackend first(dev);
+  backend::IBackend* one[] = {&first};
+  const Plan a = plan(one, sample, desc, 100'000.0);
+  ASSERT_NE(a.kernel, nullptr);
 
   vgpu::Device dev2;
-  backend::VgpuBackend owned(dev2);
-  backend::IBackend* other[] = {&owned};
-  const Plan own = plan(other, sample, desc, 100'000.0);
-  EXPECT_EQ(own.kernel->variant_id, lent.kernel->variant_id);
-  EXPECT_EQ(own.block_size, lent.block_size);
-  EXPECT_DOUBLE_EQ(own.predicted_seconds, lent.predicted_seconds);
-  ASSERT_EQ(own.considered.size(), lent.considered.size());
-  for (std::size_t i = 0; i < lent.considered.size(); ++i)
-    EXPECT_EQ(own.considered[i].name, lent.considered[i].name);
+  backend::VgpuBackend second(dev2);
+  backend::IBackend* other[] = {&second};
+  const Plan b = plan(other, sample, desc, 100'000.0);
+  EXPECT_EQ(b.kernel->variant_id, a.kernel->variant_id);
+  EXPECT_EQ(b.block_size, a.block_size);
+  EXPECT_DOUBLE_EQ(b.predicted_seconds, a.predicted_seconds);
+  ASSERT_EQ(b.considered.size(), a.considered.size());
+  for (std::size_t i = 0; i < a.considered.size(); ++i)
+    EXPECT_EQ(b.considered[i].name, a.considered[i].name);
 }
 
 TEST(GenericPlan, PcfSkipsUnlaunchableCandidatesAndChecksNonEmpty) {

@@ -248,13 +248,12 @@ vgpu::KernelStats layout_free(vgpu::KernelStats s, bool cursor_order) {
   return s;
 }
 
-/// A fixed sequence of pooled launches on a Device and Stream of its own:
-/// SDH, PCF, kNN, both joins, and launch_cross for SDH and PCF.
+/// A fixed sequence of pooled launches through a backend on a Device of
+/// its own: SDH, PCF, kNN, both joins, and launch_cross for SDH and PCF.
 std::vector<Outcome> run_sequence(const PointsSoA& pts,
                                   const PointsSoA& partners) {
   Device dev;
-  Stream stream(dev);
-  backend::VgpuBackend be(stream);
+  backend::VgpuBackend be(dev);
   const auto& registry = KernelRegistry::instance();
   const ProblemDesc sdh = ProblemDesc::sdh(
       pts.max_possible_distance() / kBuckets + 1e-4, kBuckets);

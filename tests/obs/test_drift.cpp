@@ -7,11 +7,11 @@
 #include <set>
 #include <string>
 
+#include "backend/vgpu_backend.hpp"
 #include "common/error.hpp"
 #include "obs/json.hpp"
 #include "obs/profile.hpp"
 #include "vgpu/device.hpp"
-#include "vgpu/stream.hpp"
 
 namespace obs = tbs::obs;
 namespace json = tbs::obs::json;
@@ -40,8 +40,8 @@ obs::DriftOptions small_opts() {
 
 TEST(Drift, PlannableSweepStaysWithinTolerance) {
   tbs::vgpu::Device dev;
-  tbs::vgpu::Stream stream(dev);
-  const obs::DriftReport report = obs::check_drift(stream, small_opts());
+  tbs::backend::VgpuBackend be(dev);
+  const obs::DriftReport report = obs::check_drift(be, small_opts());
   ASSERT_FALSE(report.rows.empty());
   EXPECT_DOUBLE_EQ(report.verify_n, 2048.0);
   EXPECT_TRUE(report.within_tolerance())
@@ -58,10 +58,10 @@ TEST(Drift, PlannableSweepStaysWithinTolerance) {
 
 TEST(Drift, OnlyVariantsFilterRestrictsTheSweep) {
   tbs::vgpu::Device dev;
-  tbs::vgpu::Stream stream(dev);
+  tbs::backend::VgpuBackend be(dev);
   obs::DriftOptions opt = small_opts();
   opt.only_variants = {"Reg-ROC-Out"};
-  const obs::DriftReport report = obs::check_drift(stream, opt);
+  const obs::DriftReport report = obs::check_drift(be, opt);
   ASSERT_FALSE(report.rows.empty());
   for (const obs::DriftRow& r : report.rows)
     EXPECT_EQ(r.variant, "Reg-ROC-Out");

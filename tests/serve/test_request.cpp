@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/datagen.hpp"
+#include "common/fingerprint.hpp"
 #include "serve/request.hpp"
 
 namespace tbs::serve {
