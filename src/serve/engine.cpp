@@ -400,8 +400,8 @@ std::optional<QueryEngine::ResultFuture> QueryEngine::submit_impl(
       }
     }
     if (hit) {
-      // Served from the LRU with zero launches; its completion bookkeeping
-      // runs outside mu_.
+      // Served from the result cache with zero launches; its completion
+      // bookkeeping runs outside mu_.
       std::promise<QueryResult> ready;
       ready.set_value(*std::move(hit));
       complete(Event::CacheHit, who, 0, wall_since(t0), opts.cost);
@@ -634,10 +634,12 @@ void QueryEngine::process_job(WorkerCtx& ctx, Rng& rng,
     span.attr("outcome", outcome == Outcome::Success ? "ok"
               : outcome == Outcome::Requeue          ? "requeue"
                                                      : "error");
-    busy_ns_.fetch_add(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                           Clock::now() - t0)
-                           .count(),
-                       std::memory_order_relaxed);
+    // What this answer cost to produce, pickup to the ladder's result (no
+    // queue wait, no audit): the cache's eviction cost for it.
+    const Clock::duration produced = Clock::now() - t0;
+    busy_ns_.fetch_add(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(produced).count(),
+        std::memory_order_relaxed);
     if (outcome == Outcome::Requeue) return;
 
     // Sampled cross-backend audit — after the ladder, before the cache
@@ -662,9 +664,10 @@ void QueryEngine::process_job(WorkerCtx& ctx, Rng& rng,
     // recovery. A later identical query re-executes on a healthy ladder.
     if (!error && !degraded) {
       const Clock::time_point cf0 = Clock::now();
-      // Provenance-tagged: an audit mismatch later purges every entry the
-      // offending backend produced.
-      cache_.store(job->key, result, job->cost.backend);
+      // Provenance-tagged (an audit mismatch later purges every entry the
+      // offending backend produced) and priced by what it cost to produce.
+      cache_.store(job->key, result, job->cost.backend,
+                   std::chrono::duration<double>(produced).count());
       job->cost.phase(obs::CostPhase::CacheFill).seconds += wall_since(cf0);
     }
     {
@@ -1152,6 +1155,10 @@ void QueryEngine::refresh_gauges(const EngineStats& s) const {
       .set(static_cast<double>(plan_cache_.misses()));
   metrics_.gauge("serve.result_cache.entries")
       .set(static_cast<double>(cache_.size()));
+  metrics_.gauge("serve.result_cache.evictions")
+      .set(static_cast<double>(cache_.evictions()));
+  metrics_.gauge("serve.result_cache.saved_seconds")
+      .set(cache_.saved_seconds());
   std::size_t open = 0;
   for (std::size_t w = 0; w < breakers_.size(); ++w) {
     const CircuitBreaker::State st = breakers_[w]->state();

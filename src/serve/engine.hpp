@@ -12,7 +12,7 @@
 //   bounded MPMC queue  ──────▶    pop → core::choose (shared PlanCache,
 //     · try_submit: reject when      single-flight calibration) → one
 //       full (admission control)     IBackend::launch on the worker's
-//     · submit: block for a slot     backend → store in the LRU cache →
+//     · submit: block for a slot     backend → store in the result cache →
 //       (backpressure)               fulfill every attached promise
 //
 // Results are deterministic: every kernel the engine dispatches is
@@ -136,7 +136,9 @@ class QueryEngine {
     /// historical shape; chaos deployments opt in.
     bool backend_failover = false;
     std::size_t queue_capacity = 64;    ///< admission-control bound
-    std::size_t cache_capacity = 128;   ///< LRU entries; 0 disables caching
+    /// Result-cache entries; 0 disables caching. Full, it evicts by
+    /// recompute cost aged by use (result_cache.hpp), LRU among equals.
+    std::size_t cache_capacity = 128;
     /// Auto-plan SDH/PCF above this N.
     std::size_t plan_threshold = core::kPlanThreshold;
     bool autostart = true;              ///< spawn workers in the constructor

@@ -441,6 +441,11 @@ class BlockExecutor {
   double issue_atomic(const LaneGroup& lanes, std::size_t n, bool global) {
     std::array<std::uintptr_t, 32>& addrs = atomic_addrs_;
     std::array<int, 32>& hits = atomic_hits_;
+    // Distinct addresses in first-touch order, found through an
+    // open-addressing table twice the warp's size (never full): slot
+    // value u + 1 names addrs[u], 0 is empty.
+    std::array<std::uint8_t, 64>& slots = atomic_slots_;
+    slots.fill(0);
     std::size_t unique = 0;
     std::uint64_t bytes = 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -448,18 +453,15 @@ class BlockExecutor {
           lanes_[static_cast<std::size_t>(lanes[i])].ctx.pending;
       bytes += op.elem_bytes;
       const std::uintptr_t a = op.addr[0];
-      bool found = false;
-      for (std::size_t u = 0; u < unique; ++u) {
-        if (addrs[u] == a) {
-          ++hits[u];
-          found = true;
-          break;
-        }
-      }
-      if (!found && unique < addrs.size()) {
+      std::size_t s = (static_cast<std::uint64_t>(a) *
+                       0x9E3779B97F4A7C15ull) >> 58;  // top 6 bits
+      while (slots[s] != 0 && addrs[slots[s] - 1u] != a) s = (s + 1) & 63u;
+      if (slots[s] != 0) {
+        ++hits[slots[s] - 1u];
+      } else {
         addrs[unique] = a;
         hits[unique] = 1;
-        ++unique;
+        slots[s] = static_cast<std::uint8_t>(++unique);
       }
     }
     int max_collisions = 1;
@@ -547,6 +549,7 @@ class BlockExecutor {
   std::array<std::array<std::uintptr_t, 32>, 32> bank_words_;
   std::array<std::uintptr_t, 32> atomic_addrs_;
   std::array<int, 32> atomic_hits_;
+  std::array<std::uint8_t, 64> atomic_slots_;  ///< zeroed by each use
 };
 
 /// The blocks of every pooled launch in flight (see the note at the top

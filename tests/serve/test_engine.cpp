@@ -149,7 +149,7 @@ TEST(QueryEngineCache, RepeatedShapeServedWithZeroNewKernelLaunches) {
   const std::uint64_t launches_after_first = engine.launch_count();
   EXPECT_GT(launches_after_first, 0u);
 
-  // Identical query shape: served from the LRU — not one new launch.
+  // Identical query shape: a result-cache hit — not one new launch.
   const SdhResult second =
       std::get<SdhResult>(engine.sdh(pts, width, kBuckets).get());
   EXPECT_EQ(engine.launch_count(), launches_after_first);
