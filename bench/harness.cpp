@@ -75,13 +75,14 @@ std::vector<double> paper_sizes() {
 
 perfmodel::TimeReport report_at(const vgpu::DeviceSpec& spec,
                                 const std::array<double, 3>& calib_ns,
-                                const Runner& runner, double target_n) {
+                                const Runner& runner, double target_n,
+                                std::vector<std::string>* clamped) {
   std::array<vgpu::KernelStats, 3> calib;
   for (int i = 0; i < 3; ++i)
     calib[static_cast<std::size_t>(i)] = runner(static_cast<std::size_t>(
         calib_ns[static_cast<std::size_t>(i)]));
   const perfmodel::StatsPoly poly(calib_ns, calib);
-  return perfmodel::model_time(spec, poly.predict(target_n));
+  return perfmodel::model_time(spec, poly.predict(target_n, clamped));
 }
 
 perfmodel::CpuModel calibrate_cpu(std::size_t n) {

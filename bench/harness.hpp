@@ -66,10 +66,13 @@ bool write_report(const obs::BenchReport& report, const std::string& dir);
 /// target_n, and return the profiler-style report at that scale. Used by
 /// the utilization/bandwidth tables, which the paper measures on multi-
 /// hundred-thousand-point runs (tiny grids would be latency-bound and
-/// unrepresentative).
+/// unrepresentative). `clamped`, when given, receives the counters whose
+/// fit went below zero at target_n and were reported as 0
+/// (perfmodel::StatsPoly::predict).
 perfmodel::TimeReport report_at(const vgpu::DeviceSpec& spec,
                                 const std::array<double, 3>& calib_ns,
-                                const Runner& runner, double target_n);
+                                const Runner& runner, double target_n,
+                                std::vector<std::string>* clamped = nullptr);
 
 /// Calibrate the 8-core-Xeon-equivalent CPU model by timing the real
 /// cpubase SDH implementation on this host.

@@ -10,6 +10,7 @@
 //   ./build/bench/hetero_placement --out <dir>
 //   ./build/bench/check_regression <dir>/BENCH_hetero.json --update-baseline
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <vector>
@@ -32,6 +33,14 @@ int main(int argc, char** argv) {
 
   vgpu::Device dev;
   backend::VgpuBackend vgpu_be(dev);
+  // What the simulator executes for the planner: warp instructions do not
+  // depend on where the host put the buffers (tests/backend/
+  // test_counter_pins.cpp), so one plan's sum repeats exactly.
+  std::uint64_t warp_instructions = 0;
+  dev.set_launch_observer([&warp_instructions](const vgpu::LaunchRecord& r) {
+    warp_instructions += r.stats->warp_instructions;
+  });
+  std::uint64_t calibration_warp_instructions = 0;
 
   // Pinned CPU cost model: a fixed per-pair cost and thread count make the
   // CPU estimates (and therefore the auto placement) deterministic, so the
@@ -62,7 +71,9 @@ int main(int argc, char** argv) {
     backend::IBackend* vgpu_only[] = {&vgpu_be};
     backend::IBackend* both[] = {&cpu_be, &vgpu_be};
     const core::Plan pc = core::plan(cpu_only, sample, desc, n);
+    warp_instructions = 0;
     const core::Plan pv = core::plan(vgpu_only, sample, desc, n);
+    if (n == 2048.0) calibration_warp_instructions = warp_instructions;
     const core::Plan pa = core::plan(both, sample, desc, n);
 
     report.entry("cpu", n, "model")
@@ -89,6 +100,13 @@ int main(int argc, char** argv) {
                fmt_time(pa.predicted_seconds)});
   }
   t.print(std::cout);
+  std::printf("\none vgpu plan's calibration simulates %llu warp "
+              "instructions\n",
+              static_cast<unsigned long long>(calibration_warp_instructions));
+  report.entry("vgpu_calibration", static_cast<double>(sample.size()), "sim")
+      .metric("warp_instructions",
+              static_cast<double>(calibration_warp_instructions),
+              obs::Better::Lower);
 
   std::printf("\nshape checks:\n");
   ShapeChecks checks;

@@ -10,4 +10,12 @@ const char* to_string(Kind k) {
   return "?";
 }
 
+kernels::ProblemDesc priced_problem(const Capabilities& caps,
+                                    const kernels::ProblemDesc& desc) {
+  kernels::ProblemDesc view = desc;
+  if (view.type == kernels::ProblemType::Pcf && !caps.pcf_price_reads_radius)
+    view.radius = 0.0;
+  return view;
+}
+
 }  // namespace tbs::backend

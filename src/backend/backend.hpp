@@ -51,12 +51,26 @@ struct Capabilities {
   int parallel_units = 0;
   /// Per-block dynamic shared memory budget; 0 when not applicable.
   std::size_t shared_mem_per_block_cap = 0;
+  /// Whether estimate()'s price of a PCF candidate reads the radius. Plans
+  /// are keyed on the problem as the prices read it (priced_problem), so
+  /// where it does not, every radius shares one calibration.
+  bool pcf_price_reads_radius = true;
 };
+
+/// `desc` as the estimate() of a backend with `caps` reads it: every field
+/// its prices do not read is reset to its default. Two problems with equal
+/// views get equal prices for every candidate and sample, so
+/// core::plan_cache_key keys on the view and they share one calibration.
+kernels::ProblemDesc priced_problem(const Capabilities& caps,
+                                    const kernels::ProblemDesc& desc);
 
 /// One priced candidate, in the backend's own cost model.
 struct Estimate {
   double seconds = 0.0;
   std::string bottleneck;  ///< e.g. "compute", "shared", "cpu-pairs"
+  /// Counters whose fit went below zero at the target size and were
+  /// priced as 0 (perfmodel::StatsPoly); 0 for a model without a fit.
+  std::size_t clamped_fits = 0;
 };
 
 /// Monotonic per-backend counters (snapshot semantics).

@@ -13,7 +13,8 @@
 // law fitted to the tree's work counters for Tree-SDH. A launch is priced
 //   work · pair_cost / threads + overhead
 // with threads = 1 for work that does not spread over the pool (the tree
-// walk is sequential).
+// walk is sequential). The grid PCF's work counts candidates within the
+// radius, so a PCF price reads it (Capabilities::pcf_price_reads_radius).
 // vgpu estimates are simulated-device seconds while CPU estimates are
 // host-clock seconds; the planner compares them directly, which is exactly
 // the paper's GPU-vs-CPU framing (model time vs measured baseline).

@@ -2,6 +2,8 @@
 
 #include <array>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "kernels/cross.hpp"
@@ -21,12 +23,12 @@ Capabilities caps_for(const vgpu::DeviceSpec& spec) {
   c.registry_mask = kernels::kBackendVgpu;
   c.parallel_units = spec.sm_count;
   c.shared_mem_per_block_cap = spec.shared_mem_per_block_cap;
+  // The plannable PCF kernels' addresses come from indices, and the radius
+  // only decides a register increment (kernels/pcf.cpp), so no counter
+  // estimate() fits moves with it.
+  c.pcf_price_reads_radius = false;
   return c;
 }
-
-/// Calibration sizes: multiples of every candidate block size, matching
-/// the planner's historical grid so cached plans stay comparable.
-constexpr std::array<double, 3> kCalibN = {512, 1024, 2048};
 
 /// Truncate the sample to n points (cycling if the sample is smaller).
 PointsSoA take(const PointsSoA& sample, std::size_t n) {
@@ -152,16 +154,22 @@ Estimate VgpuBackend::estimate(const kernels::KernelVariant& v,
                                const PointsSoA& sample,
                                const kernels::ProblemDesc& desc,
                                int block_size, double target_n) {
+  // For a fixed B every index-determined counter is one degree-2
+  // polynomial in M = N/B whichever three multiples of B feed it, so the
+  // three smallest (M = 1, 2, 3) pin it at the least simulation.
+  const double b = static_cast<double>(block_size);
+  const std::array<double, 3> ns = {b, 2 * b, 3 * b};
   std::array<vgpu::KernelStats, 3> stats;
-  for (std::size_t i = 0; i < kCalibN.size(); ++i) {
-    const PointsSoA pts = take(sample, static_cast<std::size_t>(kCalibN[i]));
+  for (std::size_t i = 0; i < ns.size(); ++i) {
+    const PointsSoA pts = take(sample, static_cast<std::size_t>(ns[i]));
     kernels::KernelOutput sink;  // calibration discards outputs
     stats[i] = launch(v, pts, desc, block_size, sink);
   }
-  const perfmodel::StatsPoly poly(kCalibN, stats);
-  const auto report =
-      perfmodel::model_time(stream_.device().spec(), poly.predict(target_n));
-  return Estimate{report.seconds, report.bottleneck};
+  const perfmodel::StatsPoly poly(ns, stats);
+  std::vector<std::string> clamped;
+  const auto report = perfmodel::model_time(stream_.device().spec(),
+                                            poly.predict(target_n, &clamped));
+  return Estimate{report.seconds, report.bottleneck, clamped.size()};
 }
 
 Counters VgpuBackend::counters() const {

@@ -38,13 +38,14 @@ class VgpuBackend final : public IBackend {
                                  int block_size,
                                  kernels::KernelOutput& out) override;
 
-  /// Eqs. 2–7 pricing: three calibration launches, StatsPoly counter
-  /// extrapolation, perfmodel::model_time on the device spec.
+  /// Eqs. 2–7 pricing: three calibration launches of one, two and three
+  /// blocks (N = B, 2B, 3B, the smallest sizes that pin the degree-2
+  /// StatsPoly in M = N/B), counter extrapolation to target_n,
+  /// perfmodel::model_time on the device spec.
   [[nodiscard]] Estimate estimate(const kernels::KernelVariant& v,
                                   const PointsSoA& sample,
                                   const kernels::ProblemDesc& desc,
                                   int block_size, double target_n) override;
-
   [[nodiscard]] Counters counters() const override;
 
   [[nodiscard]] vgpu::Device& device() noexcept { return stream_.device(); }

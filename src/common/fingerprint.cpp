@@ -1,5 +1,6 @@
 #include "common/fingerprint.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -62,6 +63,12 @@ std::uint64_t checksum(std::span<const float> v) {
     h.bytes(&bits, sizeof bits);
   }
   return h.value();
+}
+
+void append_exact(std::string& key, double v) {
+  char buf[32];  // the shortest round-trip form of a double is <= 24 chars
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, v);
+  key.append(buf, r.ptr);
 }
 
 }  // namespace tbs

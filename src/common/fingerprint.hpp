@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <string>
 
 #include "common/points.hpp"
 
@@ -65,5 +66,11 @@ std::uint64_t shard_fingerprint(const PointsSoA& shard_pts,
 /// buffer survived the round trip bit-meaningfully intact.
 std::uint64_t checksum(std::span<const double> v);
 std::uint64_t checksum(std::span<const float> v);
+
+/// Append `v` to a cache key in the shortest decimal form that reads back
+/// as exactly `v`, so two keys agree only when every double in them does
+/// (six fixed decimals would let radii 1.0000001 and 1.0000004 share a key,
+/// and so an answer).
+void append_exact(std::string& key, double v);
 
 }  // namespace tbs

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/fingerprint.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -27,6 +28,10 @@ Candidate price(backend::IBackend& be, const PointsSoA& sample,
   check(!sample.empty(), "planner: empty sample");
   const backend::Estimate est =
       be.estimate(kernel, sample, desc, block_size, target_n);
+  if (est.clamped_fits > 0)
+    obs::MetricsRegistry::global()
+        .counter("core.plan.clamped_fits")
+        .inc(est.clamped_fits);
   Candidate c;
   c.name = kernel.name + "/B" + std::to_string(block_size);
   c.predicted_seconds = est.seconds;
@@ -81,16 +86,19 @@ std::string plan_cache_key(std::span<backend::IBackend* const> backends,
     key += std::to_string(caps.parallel_units);
     key += '/';
     key += std::to_string(caps.shared_mem_per_block_cap);
+    const kernels::ProblemDesc view = backend::priced_problem(caps, desc);
+    key += '|';
+    key += kernels::to_string(view.type);
+    key += '|';
+    append_exact(key, view.bucket_width);
+    key += '|';
+    key += std::to_string(view.buckets);
+    key += '|';
+    append_exact(key, view.radius);
+    key += '|';
+    key += std::to_string(view.k);
     key += '+';
   }
-  key += '|';
-  key += kernels::to_string(desc.type);
-  key += '|';
-  key += std::to_string(desc.bucket_width);
-  key += '|';
-  key += std::to_string(desc.buckets);
-  key += '|';
-  key += std::to_string(desc.radius);
   key += "|N";
   key += std::to_string(estimate_n_bucket(target_n));
   return key;

@@ -2,7 +2,8 @@
 // "automatically generates optimized code for any new 2-BS problem"
 // (Sec. I & V). Given a problem instance and a target size, the planner
 // simulates every planner-eligible registry variant at three small
-// calibration sizes, extrapolates the counters with perfmodel::StatsPoly,
+// calibration sizes (one, two and three blocks of the candidate's block
+// size on vgpu), extrapolates the counters with perfmodel::StatsPoly,
 // prices them with perfmodel::model_time, and picks the cheapest.
 //
 // The generic entry point is plan(): it enumerates KernelRegistry rather
@@ -76,12 +77,16 @@ struct Plan {
   std::vector<Candidate> considered;  ///< all candidates, priced
 };
 
-/// Memoization key for a planning request: the identity of every backend
-/// in the set (capability name + parallel units + shared budget,
-/// order-sensitive), the problem descriptor, and the target size rounded up
-/// to a power of two (the time model is smooth in N, so nearby sizes share
-/// a plan). Two engines planning over equivalent pools share entries; a
-/// different pool composition never aliases.
+/// Memoization key for a planning request: for every backend in the set
+/// (order-sensitive), its identity (capability name + parallel units +
+/// shared budget) and the problem as its prices read it
+/// (backend::priced_problem: a vgpu backend's leaves out a PCF radius,
+/// which moves no counter, so every radius shares one vgpu calibration;
+/// a CPU backend's keeps it); then the target size rounded up to a power
+/// of two (the time model is smooth in N, so nearby sizes share a plan).
+/// Each double is written so that it reads back exactly. Two engines
+/// planning over equivalent pools share entries; a different pool
+/// composition never aliases.
 std::string plan_cache_key(std::span<backend::IBackend* const> backends,
                            const kernels::ProblemDesc& desc, double target_n);
 

@@ -78,8 +78,10 @@ CpuWork pcf_grid_work(const PointsSoA& sample, const ProblemDesc& d,
                  true, "cpu-grid"};
 }
 
-/// Same calibration sizes as the vgpu side, so the two models extrapolate
-/// from comparable regimes.
+/// Tree work calibration sizes. The tree's work is a power law in N, not a
+/// polynomial in a block count, so unlike the vgpu fit (one, two and three
+/// blocks) it needs sizes far enough apart that the log-log slope is
+/// already the one large N sees.
 constexpr std::array<double, 3> kTreeCalibN = {512, 1024, 2048};
 
 /// One node-pair visit costs roughly this many pair evaluations (AABB

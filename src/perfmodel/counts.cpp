@@ -72,54 +72,61 @@ StatsPoly::StatsPoly(const std::array<double, 3>& ns,
         "StatsPoly: samples must share a block size");
 }
 
-vgpu::KernelStats StatsPoly::predict(double n) const {
+vgpu::KernelStats StatsPoly::predict(
+    double n, std::vector<std::string>* clamped) const {
   using vgpu::KernelStats;
   KernelStats out;
 
-  const auto fit_u64 = [&](std::uint64_t KernelStats::* f) {
+  const auto fit = [&](const char* name, std::array<double, 3> ys) {
+    const double y = quad_interp(ns_, ys, n);
+    if (y >= 0.0) return y;
+    if (clamped != nullptr) clamped->emplace_back(name);
+    return 0.0;
+  };
+  const auto fit_u64 = [&](std::uint64_t KernelStats::* f, const char* name) {
     std::array<double, 3> ys{};
     for (int i = 0; i < 3; ++i)
       ys[static_cast<std::size_t>(i)] = static_cast<double>(
           samples_[static_cast<std::size_t>(i)].*f);
-    out.*f = static_cast<std::uint64_t>(
-        std::llround(std::max(0.0, quad_interp(ns_, ys, n))));
+    out.*f = static_cast<std::uint64_t>(std::llround(fit(name, ys)));
   };
-  const auto fit_f64 = [&](double KernelStats::* f) {
+  const auto fit_f64 = [&](double KernelStats::* f, const char* name) {
     std::array<double, 3> ys{};
     for (int i = 0; i < 3; ++i)
       ys[static_cast<std::size_t>(i)] =
           samples_[static_cast<std::size_t>(i)].*f;
-    out.*f = std::max(0.0, quad_interp(ns_, ys, n));
+    out.*f = fit(name, ys);
   };
 
-  fit_u64(&KernelStats::global_loads);
-  fit_u64(&KernelStats::global_stores);
-  fit_u64(&KernelStats::global_atomics);
-  fit_u64(&KernelStats::roc_loads);
-  fit_u64(&KernelStats::shared_loads);
-  fit_u64(&KernelStats::shared_stores);
-  fit_u64(&KernelStats::shared_atomics);
-  fit_u64(&KernelStats::shuffles);
-  fit_u64(&KernelStats::barriers);
-  fit_u64(&KernelStats::dram_bytes);
-  fit_u64(&KernelStats::l2_bytes);
-  fit_u64(&KernelStats::roc_hit_bytes);
-  fit_u64(&KernelStats::roc_port_cycles);
-  fit_u64(&KernelStats::shared_bytes);
-  fit_u64(&KernelStats::global_transactions);
-  fit_u64(&KernelStats::shared_transactions);
-  fit_u64(&KernelStats::bank_conflict_extra);
-  fit_u64(&KernelStats::atomic_collision_extra);
-  fit_u64(&KernelStats::warp_instructions);
-  fit_u64(&KernelStats::active_lane_slots);
-  fit_u64(&KernelStats::possible_lane_slots);
-  fit_f64(&KernelStats::global_atomic_port_cycles);
-  fit_f64(&KernelStats::arith_ops);
-  fit_f64(&KernelStats::arith_warp_cycles);
-  fit_f64(&KernelStats::control_ops);
-  fit_f64(&KernelStats::control_warp_cycles);
-  fit_f64(&KernelStats::total_warp_cycles);
-  fit_f64(&KernelStats::max_block_cycles);
+  fit_u64(&KernelStats::global_loads, "global_loads");
+  fit_u64(&KernelStats::global_stores, "global_stores");
+  fit_u64(&KernelStats::global_atomics, "global_atomics");
+  fit_u64(&KernelStats::roc_loads, "roc_loads");
+  fit_u64(&KernelStats::shared_loads, "shared_loads");
+  fit_u64(&KernelStats::shared_stores, "shared_stores");
+  fit_u64(&KernelStats::shared_atomics, "shared_atomics");
+  fit_u64(&KernelStats::shuffles, "shuffles");
+  fit_u64(&KernelStats::barriers, "barriers");
+  fit_u64(&KernelStats::dram_bytes, "dram_bytes");
+  fit_u64(&KernelStats::l2_bytes, "l2_bytes");
+  fit_u64(&KernelStats::roc_hit_bytes, "roc_hit_bytes");
+  fit_u64(&KernelStats::roc_port_cycles, "roc_port_cycles");
+  fit_u64(&KernelStats::shared_bytes, "shared_bytes");
+  fit_u64(&KernelStats::global_transactions, "global_transactions");
+  fit_u64(&KernelStats::shared_transactions, "shared_transactions");
+  fit_u64(&KernelStats::bank_conflict_extra, "bank_conflict_extra");
+  fit_u64(&KernelStats::atomic_collision_extra, "atomic_collision_extra");
+  fit_u64(&KernelStats::warp_instructions, "warp_instructions");
+  fit_u64(&KernelStats::active_lane_slots, "active_lane_slots");
+  fit_u64(&KernelStats::possible_lane_slots, "possible_lane_slots");
+  fit_f64(&KernelStats::global_atomic_port_cycles,
+          "global_atomic_port_cycles");
+  fit_f64(&KernelStats::arith_ops, "arith_ops");
+  fit_f64(&KernelStats::arith_warp_cycles, "arith_warp_cycles");
+  fit_f64(&KernelStats::control_ops, "control_ops");
+  fit_f64(&KernelStats::control_warp_cycles, "control_warp_cycles");
+  fit_f64(&KernelStats::total_warp_cycles, "total_warp_cycles");
+  fit_f64(&KernelStats::max_block_cycles, "max_block_cycles");
 
   // Phase cycles: fit every phase id present in the samples. (Callers that
   // know a phase's exact scaling law — e.g. the intra-block phase is
@@ -133,7 +140,7 @@ vgpu::KernelStats StatsPoly::predict(double n) const {
       const auto it = pc.find(id);
       ys[static_cast<std::size_t>(i)] = it == pc.end() ? 0.0 : it->second;
     }
-    out.phase_cycles[id] = std::max(0.0, quad_interp(ns_, ys, n));
+    out.phase_cycles[id] = fit("phase_cycles", ys);
   }
 
   // Config echoes: distinct-lines is H-dependent, not N-dependent.

@@ -21,6 +21,8 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "vgpu/stats.hpp"
 
@@ -69,7 +71,13 @@ class StatsPoly {
   StatsPoly(const std::array<double, 3>& ns,
             const std::array<vgpu::KernelStats, 3>& samples);
 
-  [[nodiscard]] vgpu::KernelStats predict(double n) const;
+  /// The counters at n points. A fit that goes below zero there (the three
+  /// samples bend it down, e.g. a layout-dependent dram_bytes triple
+  /// 0 / 6144 / 0) cannot be a count: it reads 0, and when `clamped` is
+  /// given the field's name is appended to it, so a caller can tell a
+  /// clamped 0 from a measured one.
+  [[nodiscard]] vgpu::KernelStats predict(
+      double n, std::vector<std::string>* clamped = nullptr) const;
 
  private:
   std::array<double, 3> ns_;

@@ -1,5 +1,7 @@
 #include "serve/request.hpp"
 
+#include "common/fingerprint.hpp"
+
 namespace tbs::serve {
 
 const char* kind_name(const Query& q) {
@@ -44,15 +46,15 @@ std::string query_key(const Query& q, std::uint64_t dataset_fp) {
       [&key](const auto& query) {
         using Q = std::decay_t<decltype(query)>;
         if constexpr (std::is_same_v<Q, SdhQuery>) {
-          key += std::to_string(query.bucket_width);
+          append_exact(key, query.bucket_width);
           key += '|';
           key += std::to_string(query.buckets);
         } else if constexpr (std::is_same_v<Q, PcfQuery>) {
-          key += std::to_string(query.radius);
+          append_exact(key, query.radius);
         } else if constexpr (std::is_same_v<Q, KnnQuery>) {
           key += std::to_string(query.k);
         } else if constexpr (std::is_same_v<Q, JoinQuery>) {
-          key += std::to_string(query.radius);
+          append_exact(key, query.radius);
           key += '|';
           key += kernels::to_string(query.variant);
         }

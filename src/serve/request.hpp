@@ -66,10 +66,11 @@ Problem problem_of(const Query& q);
 /// reassigned).
 kernels::KernelOutput output_sinks(const Query& q, QueryResult& r);
 
-/// The coalescing / result-cache key: kind, exact parameters, dataset
-/// fingerprint (tbs::dataset_fingerprint, the FNV-1a shared with the shard
-/// subsystem, so a sharded execution lands on the same cache entry as an
-/// unsharded one). Equal keys mean "the same computation" — the engine runs
+/// The coalescing / result-cache key: kind, exact parameters (each double
+/// in a form that reads back as the same double), dataset fingerprint
+/// (tbs::dataset_fingerprint, the FNV-1a shared with the shard subsystem,
+/// so a sharded execution lands on the same cache entry as an unsharded
+/// one). Equal keys mean "the same computation" — the engine runs
 /// one of them and fans the result out.
 std::string query_key(const Query& q, std::uint64_t dataset_fp);
 

@@ -9,6 +9,7 @@
 
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #ifdef __linux__
@@ -226,6 +227,38 @@ TEST(VgpuBackendLaunchMode, EveryLaunchRunsPooled) {
       pts, sdh, 64, 4096.0);
   EXPECT_EQ(pooled.size(), 6u);  // 3 calibration sizes x (main + reduce)
   expect_mode(true, "estimate");
+}
+
+TEST(VgpuBackendEstimate, CalibratesAtOneTwoAndThreeBlocks) {
+  // For a fixed block size B the counters are a degree-2 polynomial in the
+  // block count, so estimate() simulates the three smallest sizes that pin
+  // it, N = B, 2B, 3B, whatever the target or the sample size.
+  vgpu::Device dev;
+  std::vector<std::pair<int, int>> launched;  // (grid, block) per launch
+  dev.set_launch_observer([&launched](const vgpu::LaunchRecord& rec) {
+    launched.emplace_back(rec.cfg.grid_dim, rec.cfg.block_dim);
+  });
+  backend::VgpuBackend be(dev);
+  const PointsSoA sample = uniform_box(4096, 10.0f, /*seed=*/63);
+  const kernels::KernelRegistry& registry =
+      kernels::KernelRegistry::instance();
+  using Launches = std::vector<std::pair<int, int>>;
+
+  for (const int block : {128, 256, 512}) {
+    (void)be.estimate(registry.baseline(kernels::ProblemType::Pcf), sample,
+                      kernels::ProblemDesc::pcf(1.5), block, 1e6);
+    EXPECT_EQ(launched, (Launches{{1, block}, {2, block}, {3, block}}));
+    launched.clear();
+  }
+
+  // A privatized SDH launch is the main kernel, then the reduction of the
+  // per-block histograms (one block for 32 buckets).
+  const kernels::ProblemDesc sdh = kernels::ProblemDesc::sdh(
+      sample.max_possible_distance() / 32 + 1e-4, 32);
+  (void)be.estimate(registry.baseline(kernels::ProblemType::Sdh), sample, sdh,
+                    128, 1e6);
+  EXPECT_EQ(launched, (Launches{{1, 128}, {1, 128}, {2, 128}, {1, 128},
+                                {3, 128}, {1, 128}}));
 }
 
 #ifdef __linux__

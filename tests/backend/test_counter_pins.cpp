@@ -267,5 +267,39 @@ TEST(CounterPins, EveryVgpuLaunchKeepsItsAnswerAndLayoutFreeCounters) {
   }
 }
 
+TEST(CounterPins, PlannablePcfCountersDoNotDependOnTheRadius) {
+  // A vgpu PCF plan is keyed without its radius
+  // (Capabilities::pcf_price_reads_radius): every plannable PCF kernel's
+  // addresses come from indices, and the radius only decides a register
+  // increment. So its answer moves with the radius and no layout-free
+  // counter does.
+  const PointsSoA pts = uniform_box(1100, 10.0f, /*seed=*/2018);
+  vgpu::Device dev;
+  backend::VgpuBackend be(dev);
+  int checked = 0;
+  for (const kernels::KernelVariant* v :
+       kernels::KernelRegistry::instance().plannable(
+           kernels::ProblemType::Pcf)) {
+    for (const int block : {128, 256, 512}) {
+      SCOPED_TRACE(v->name + "/B" + std::to_string(block));
+      std::uint64_t near = 0;
+      std::uint64_t far = 0;
+      kernels::KernelOutput near_out;
+      near_out.pairs = &near;
+      kernels::KernelOutput far_out;
+      far_out.pairs = &far;
+      const Counters at_near = layout_free(
+          be.launch(*v, pts, kernels::ProblemDesc::pcf(0.5), block, near_out));
+      const Counters at_far = layout_free(
+          be.launch(*v, pts, kernels::ProblemDesc::pcf(2.0), block, far_out));
+      EXPECT_LT(near, far);
+      for (std::size_t f = 0; f < kFields.size(); ++f)
+        EXPECT_EQ(at_near[f], at_far[f]) << kFields[f];
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 9);  // 3 plannable PCF variants x 3 block sizes
+}
+
 }  // namespace
 }  // namespace tbs

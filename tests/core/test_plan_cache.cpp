@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "backend/cpu_backend.hpp"
 #include "backend/vgpu_backend.hpp"
 #include "common/datagen.hpp"
 #include "common/error.hpp"
@@ -96,6 +97,48 @@ TEST(PlanCacheKey, BucketsTargetSizeByPowerOfTwo) {
             plan_cache_key(one, ProblemDesc::pcf(2.0), 5000.0));
 }
 
+TEST(PlanCacheKey, VgpuPcfKeysAreEqualAcrossRadii) {
+  vgpu::Device dev;
+  backend::VgpuBackend be(dev);
+  backend::IBackend* one[] = {&be};
+  EXPECT_EQ(plan_cache_key(one, ProblemDesc::pcf(0.5), 5000.0),
+            plan_cache_key(one, ProblemDesc::pcf(1.3), 5000.0));
+}
+
+TEST(PlanCacheKey, CpuPcfKeysKeepTheRadius) {
+  // The CPU's grid PCF price counts the stencil's candidates, which grow
+  // with the radius; a set with a CPU backend in it keys on the radius,
+  // down to its last digit.
+  backend::CpuBackend::Config cfg;
+  cfg.threads = 1;
+  cfg.pair_cost_seconds = 1e-9;
+  backend::CpuBackend cpu(cfg);
+  vgpu::Device dev;
+  backend::VgpuBackend gpu(dev);
+  backend::IBackend* cpu_only[] = {&cpu};
+  backend::IBackend* both[] = {&cpu, &gpu};
+  for (const std::span<backend::IBackend* const> set :
+       {std::span<backend::IBackend* const>(cpu_only),
+        std::span<backend::IBackend* const>(both)}) {
+    EXPECT_NE(plan_cache_key(set, ProblemDesc::pcf(0.5), 5000.0),
+              plan_cache_key(set, ProblemDesc::pcf(1.3), 5000.0));
+    EXPECT_NE(plan_cache_key(set, ProblemDesc::pcf(1.0000001), 5000.0),
+              plan_cache_key(set, ProblemDesc::pcf(1.0000004), 5000.0));
+  }
+}
+
+TEST(PlanCacheKey, SdhKeysDifferByGeometry) {
+  vgpu::Device dev;
+  backend::VgpuBackend be(dev);
+  backend::IBackend* one[] = {&be};
+  const std::string key =
+      plan_cache_key(one, ProblemDesc::sdh(0.5, 64), 5000.0);
+  EXPECT_EQ(key, plan_cache_key(one, ProblemDesc::sdh(0.5, 64), 6000.0));
+  EXPECT_NE(key, plan_cache_key(one, ProblemDesc::sdh(0.5, 128), 5000.0));
+  EXPECT_NE(key, plan_cache_key(one, ProblemDesc::sdh(0.25, 64), 5000.0));
+  EXPECT_NE(key, plan_cache_key(one, ProblemDesc::sdh(0.5000001, 64), 5000.0));
+}
+
 TEST(PlanCache, HitCostsZeroCalibrationLaunches) {
   const auto sample = uniform_box(2048, 10.0f, 3);
 
@@ -120,8 +163,15 @@ TEST(PlanCache, HitCostsZeroCalibrationLaunches) {
   EXPECT_EQ(second.kernel, first.kernel);
   EXPECT_EQ(second.block_size, first.block_size);
 
+  // A new radius moves no vgpu counter, so it prices the same: a hit.
+  const Plan third =
+      plan(one, sample, ProblemDesc::pcf(1.0), 50'000.0, &cache);
+  EXPECT_EQ(dev.launch_count(), launches_after_first);
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(third.kernel, first.kernel);
+
   // A different problem shape misses and re-calibrates.
-  plan(one, sample, ProblemDesc::pcf(1.0), 50'000.0, &cache);
+  plan(one, sample, ProblemDesc::sdh(0.5, 64), 50'000.0, &cache);
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_GT(dev.launch_count(), launches_after_first);
 }

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+#include <vector>
+
 #include "common/datagen.hpp"
 #include "common/stats.hpp"
 #include "kernels/pcf.hpp"
@@ -155,6 +159,74 @@ TEST(StatsPoly, InterpolatesTheSamplePointsThemselves) {
   const StatsPoly poly({256, 512, 1024}, {s1, s2, s3});
   EXPECT_EQ(poly.predict(512).shared_loads, s2.shared_loads);
   EXPECT_EQ(poly.predict(1024).global_loads, s3.global_loads);
+}
+
+TEST(StatsPoly, OneTwoAndThreeBlocksPinTheIndexDeterminedCounters) {
+  // The planner fits each vgpu candidate at N = B, 2B and 3B. Counters
+  // that indices alone decide are one polynomial in M = N/B, so those
+  // three sizes predict them at a larger N exactly.
+  const int b = 128;
+  vgpu::Device dev;
+  const auto pts = uniform_box(2048, 10.0f, 77);
+  const auto take = [&](std::size_t n) {
+    PointsSoA out;
+    for (std::size_t i = 0; i < n; ++i) out.push_back(pts[i]);
+    return out;
+  };
+  const auto check = [&](const std::string& name, const auto& run) {
+    SCOPED_TRACE(name);
+    const StatsPoly poly({b, 2.0 * b, 3.0 * b},
+                         {run(take(b)), run(take(2 * b)), run(take(3 * b))});
+    const vgpu::KernelStats predicted = poly.predict(2048);
+    const vgpu::KernelStats actual = run(pts);
+    EXPECT_EQ(predicted.global_loads, actual.global_loads);
+    EXPECT_EQ(predicted.global_stores, actual.global_stores);
+    EXPECT_EQ(predicted.global_atomics, actual.global_atomics);
+    EXPECT_EQ(predicted.roc_loads, actual.roc_loads);
+    EXPECT_EQ(predicted.shared_loads, actual.shared_loads);
+    EXPECT_EQ(predicted.shared_stores, actual.shared_stores);
+    EXPECT_EQ(predicted.shared_atomics, actual.shared_atomics);
+    EXPECT_EQ(predicted.shuffles, actual.shuffles);
+    EXPECT_EQ(predicted.barriers, actual.barriers);
+    EXPECT_EQ(predicted.warp_instructions, actual.warp_instructions);
+  };
+  for (const auto v : {kernels::SdhVariant::NaiveOut,
+                       kernels::SdhVariant::RegShmOut,
+                       kernels::SdhVariant::RegRocOut,
+                       kernels::SdhVariant::ShuffleOut,
+                       kernels::SdhVariant::RegShmLb})
+    check(kernels::to_string(v), [&](const PointsSoA& p) {
+      return kernels::run_sdh(dev, p, 0.35, 32, v, b).stats;
+    });
+  for (const auto v :
+       {kernels::PcfVariant::ShmShm, kernels::PcfVariant::RegShm,
+        kernels::PcfVariant::RegRoc})
+    check(kernels::to_string(v), [&](const PointsSoA& p) {
+      return kernels::run_pcf(dev, p, 2.0, v, b).stats;
+    });
+}
+
+TEST(StatsPoly, NamesTheFieldsWhoseFitGoesNegative) {
+  // A concave triple, like the layout-dependent dram_bytes 0 / 6144 / 0
+  // a calibration can measure, bends the fit below zero at large N: it
+  // reads 0, and the field is named so the 0 is not taken for a count.
+  std::array<vgpu::KernelStats, 3> s{};
+  for (vgpu::KernelStats& k : s) k.block_dim = 128;
+  s[1].dram_bytes = 6144;
+  const StatsPoly concave({128, 256, 384}, s);
+  std::vector<std::string> clamped;
+  EXPECT_EQ(concave.predict(4096, &clamped).dram_bytes, 0u);
+  EXPECT_EQ(clamped, std::vector<std::string>{"dram_bytes"});
+  EXPECT_EQ(concave.predict(4096).dram_bytes, 0u);
+
+  // The convex triple 6144 / 0 / 6144 is 6144 (M - 2)^2: nothing clamps.
+  s[0].dram_bytes = 6144;
+  s[1].dram_bytes = 0;
+  s[2].dram_bytes = 6144;
+  const StatsPoly convex({128, 256, 384}, s);
+  clamped.clear();
+  EXPECT_EQ(convex.predict(4096, &clamped).dram_bytes, 6144u * 30 * 30);
+  EXPECT_TRUE(clamped.empty());
 }
 
 }  // namespace

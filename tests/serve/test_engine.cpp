@@ -308,5 +308,26 @@ TEST(QueryEnginePlanning, LargeQueriesShareThePlanCacheAcrossWorkers) {
   EXPECT_GE(engine.plan_cache().hits() + engine.plan_cache().misses(), 2u);
 }
 
+TEST(QueryEnginePlanning, AnUnplannedPcfRadiusHitsThePlanOfAnother) {
+  // A vgpu PCF price reads no radius, so a radius never seen before, on
+  // another dataset in the same size bucket, reuses the plan primed at
+  // r = 0.5: no calibration, only the query's own launch.
+  QueryEngine::Config cfg;
+  cfg.devices = 1;
+  cfg.streams_per_device = 1;
+  QueryEngine engine(cfg);
+  (void)engine.pcf(uniform_box(2500, 10.0f, 5), 0.5).get();
+  ASSERT_EQ(engine.plan_cache().misses(), 1u);
+  const std::uint64_t primed = engine.launch_count();
+
+  const auto other = uniform_box(3000, 10.0f, 6);
+  const PcfResult r = std::get<PcfResult>(engine.pcf(other, 1.3).get());
+  EXPECT_EQ(engine.plan_cache().hits(), 1u);
+  EXPECT_EQ(engine.plan_cache().misses(), 1u);
+  EXPECT_EQ(engine.launch_count() - primed, 1u);
+  core::TwoBodyFramework fw;
+  EXPECT_EQ(r.pairs_within, fw.pcf(other, 1.3).pairs_within);
+}
+
 }  // namespace
 }  // namespace tbs::serve

@@ -5,6 +5,7 @@
 // what they took to produce.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
 #include <future>
 #include <memory>
@@ -304,6 +305,51 @@ TEST(ResultCacheEngine, GaugesExportEvictionsAndSavedSeconds) {
   EXPECT_EQ(engine_gauge(engine, "serve.result_cache.saved_seconds"),
             2.0 * once);
   EXPECT_EQ(engine_gauge(engine, "serve.result_cache.entries"), 1.0);
+}
+
+/// Three points whose one close pair lies 1 + 2^-22 apart; the others are
+/// far from both.
+PointsSoA one_close_pair() {
+  PointsSoA pts;
+  pts.push_back({0.0f, 0.0f, 0.0f});
+  pts.push_back({1.0f + 0x1p-22f, 0.0f, 0.0f});
+  pts.push_back({10.0f, 10.0f, 10.0f});
+  return pts;
+}
+
+TEST(ResultCacheKey, CloseRadiiKeepTheirOwnAnswers) {
+  // The radii agree to six decimals. Their keys must still differ, or the
+  // second query is served the first one's 0.
+  const PointsSoA pts = one_close_pair();
+  EXPECT_NE(query_key(PcfQuery{1.0000001}, 1),
+            query_key(PcfQuery{1.0000004}, 1));
+  QueryEngine engine(cpu_engine_config(8));
+  QueryEngine::ResultFuture narrow = engine.pcf(pts, 1.0000001);
+  EXPECT_EQ(pairs_of(get_with_watchdog(narrow)), 0u);
+  QueryEngine::ResultFuture wide = engine.pcf(pts, 1.0000004);
+  EXPECT_EQ(pairs_of(get_with_watchdog(wide)), 1u);
+  EXPECT_EQ(engine.stats().counters.cache_hits, 0u);
+}
+
+TEST(ResultCacheKey, CloseSdhWidthsKeepTheirOwnAnswers) {
+  // The widths agree to six decimals. The close pair falls in bucket 1 at
+  // the narrower one and in bucket 0 at the wider; the two far pairs clamp
+  // into the last bucket.
+  const PointsSoA pts = one_close_pair();
+  QueryEngine engine(cpu_engine_config(8));
+  QueryEngine::ResultFuture narrow = engine.sdh(pts, 1.0000001, 4);
+  const QueryResult at_narrow = get_with_watchdog(narrow);
+  QueryEngine::ResultFuture wide = engine.sdh(pts, 1.0000004, 4);
+  const QueryResult at_wide = get_with_watchdog(wide);
+  EXPECT_EQ(engine.stats().counters.cache_hits, 0u);
+  const Histogram& n = std::get<kernels::SdhResult>(at_narrow).hist;
+  const Histogram& w = std::get<kernels::SdhResult>(at_wide).hist;
+  ASSERT_EQ(n.bucket_count(), 4u);
+  ASSERT_EQ(w.bucket_count(), 4u);
+  EXPECT_EQ((std::array{n[0], n[1], n[2], n[3]}),
+            (std::array<std::uint64_t, 4>{0, 1, 0, 2}));
+  EXPECT_EQ((std::array{w[0], w[1], w[2], w[3]}),
+            (std::array<std::uint64_t, 4>{1, 0, 0, 2}));
 }
 
 }  // namespace
