@@ -10,6 +10,7 @@
 //   ./build/bench/hetero_placement --out <dir>
 //   ./build/bench/check_regression <dir>/BENCH_hetero.json --update-baseline
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
@@ -35,10 +36,13 @@ int main(int argc, char** argv) {
   backend::VgpuBackend vgpu_be(dev);
   // What the simulator executes for the planner: warp instructions do not
   // depend on where the host put the buffers (tests/backend/
-  // test_counter_pins.cpp), so one plan's sum repeats exactly.
-  std::uint64_t warp_instructions = 0;
+  // test_counter_pins.cpp), so one plan's sum repeats exactly. The
+  // calibration launches run on cold twins of `dev` on the planner's
+  // threads, which all report here, so the sum is atomic.
+  std::atomic<std::uint64_t> warp_instructions{0};
   dev.set_launch_observer([&warp_instructions](const vgpu::LaunchRecord& r) {
-    warp_instructions += r.stats->warp_instructions;
+    warp_instructions.fetch_add(r.stats->warp_instructions,
+                                std::memory_order_relaxed);
   });
   std::uint64_t calibration_warp_instructions = 0;
 
@@ -73,7 +77,7 @@ int main(int argc, char** argv) {
     const core::Plan pc = core::plan(cpu_only, sample, desc, n);
     warp_instructions = 0;
     const core::Plan pv = core::plan(vgpu_only, sample, desc, n);
-    if (n == 2048.0) calibration_warp_instructions = warp_instructions;
+    if (n == 2048.0) calibration_warp_instructions = warp_instructions.load();
     const core::Plan pa = core::plan(both, sample, desc, n);
 
     report.entry("cpu", n, "model")

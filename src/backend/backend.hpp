@@ -126,8 +126,11 @@ class IBackend {
                                          kernels::KernelOutput& out) = 0;
 
   /// Price running `v` on `target_n` points. `sample` supplies the data
-  /// distribution for calibration; implementations may launch small
-  /// calibration runs through themselves.
+  /// distribution for calibration. The price reads only the arguments and
+  /// the backend's fixed configuration, never state that launches change,
+  /// and any calibration run uses resources of its own (a cold device, a
+  /// private pool). So estimate() may be called from several threads at
+  /// once and alongside this backend's launches, without its launch lock.
   [[nodiscard]] virtual Estimate estimate(const kernels::KernelVariant& v,
                                           const PointsSoA& sample,
                                           const kernels::ProblemDesc& desc,

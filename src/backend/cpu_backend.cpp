@@ -97,11 +97,12 @@ double CpuBackend::pair_cost() {
   if (pair_cost_ > 0.0) return pair_cost_;
   // One timed run of the served SDH loop (the pair tile every SDH variant
   // launches) on synthetic data; the histogram geometry is irrelevant to
-  // the per-pair cost.
+  // the per-pair cost. A pool of its own: a launch may hold pool_.
   const PointsSoA pts = uniform_box(kPairCalibN, 10.0f, /*seed=*/42);
   const double width = pts.max_possible_distance() / 64 + 1e-4;
+  cpubase::ThreadPool timing_pool(pool_.size());
   const auto t0 = std::chrono::steady_clock::now();
-  (void)cpubase::cpu_sdh_simd(pool_, pts, width, 64);
+  (void)cpubase::cpu_sdh_simd(timing_pool, pts, width, 64);
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

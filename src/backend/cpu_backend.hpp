@@ -7,7 +7,9 @@
 // every implementation computes distances and buckets the same way.
 //
 // Cost model (estimate()): the backend calibrates a per-pair cost from one
-// timed run of the SDH pair tile, and each variant declares its work in
+// timed run of the SDH pair tile on a pool of its own, as wide as the
+// backend's (a launch may hold the backend's pool meanwhile, and
+// ThreadPool::run_on_all is not reentrant). Each variant declares its work in
 // pair-equivalents (KernelVariant::cpu_work): all N(N-1)/2 pairs for the
 // brute SDH loop, the stencil's candidate pairs for the grid PCF, a power
 // law fitted to the tree's work counters for Tree-SDH. A launch is priced

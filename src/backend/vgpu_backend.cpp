@@ -154,6 +154,8 @@ Estimate VgpuBackend::estimate(const kernels::KernelVariant& v,
                                const PointsSoA& sample,
                                const kernels::ProblemDesc& desc,
                                int block_size, double target_n) {
+  check(v.launch != nullptr,
+        "VgpuBackend: variant has no vgpu launch functor");
   // For a fixed B every index-determined counter is one degree-2
   // polynomial in M = N/B whichever three multiples of B feed it, so the
   // three smallest (M = 1, 2, 3) pin it at the least simulation.
@@ -162,8 +164,13 @@ Estimate VgpuBackend::estimate(const kernels::KernelVariant& v,
   std::array<vgpu::KernelStats, 3> stats;
   for (std::size_t i = 0; i < ns.size(); ++i) {
     const PointsSoA pts = take(sample, static_cast<std::size_t>(ns[i]));
+    // Each calibration launch starts cold and has no fault plan, whatever
+    // the serving device ran before; it still reports to its launch hook.
+    vgpu::Device cold = stream_.device().cold_twin();
+    vgpu::Stream lane(cold);
     kernels::KernelOutput sink;  // calibration discards outputs
-    stats[i] = launch(v, pts, desc, block_size, sink);
+    stats[i] = v.launch(lane, pts, desc, block_size, sink);
+    launches_.fetch_add(1, std::memory_order_relaxed);
   }
   const perfmodel::StatsPoly poly(ns, stats);
   std::vector<std::string> clamped;

@@ -1,10 +1,17 @@
 // VgpuBackend — the simulated-GPU substrate behind the IBackend seam.
 //
-// A thin adapter: launches and calibration go through the backend's own
-// vgpu::Stream onto the device (blocks on the block queue), so everything
-// attached to the Device — fault injection plans, launch observers, the
-// launch counter — sees them. counters().faults is the device injector's
-// loud-fault count, which covers every lane onto the device.
+// A thin adapter: launches go through the backend's own vgpu::Stream onto
+// the device (blocks on the block queue), so everything attached to the
+// Device — fault injection plans, launch observers, the launch counter —
+// sees them. counters().faults is the device injector's loud-fault count,
+// which covers every lane onto the device.
+//
+// estimate() never touches the device's state: each calibration launch
+// runs on a cold twin of the device (Device::cold_twin), so an estimate is
+// a function of (variant, block, sample, problem, spec) alone and can run
+// on any thread while the device serves. The twins report to the device's
+// launch observer and count in counters().launches, but not in the
+// device's launch_count(), and no fault plan or silent fault reaches them.
 #pragma once
 
 #include <atomic>
@@ -40,8 +47,8 @@ class VgpuBackend final : public IBackend {
 
   /// Eqs. 2–7 pricing: three calibration launches of one, two and three
   /// blocks (N = B, 2B, 3B, the smallest sizes that pin the degree-2
-  /// StatsPoly in M = N/B), counter extrapolation to target_n,
-  /// perfmodel::model_time on the device spec.
+  /// StatsPoly in M = N/B), each on a cold twin of the device, counter
+  /// extrapolation to target_n, perfmodel::model_time on the device spec.
   [[nodiscard]] Estimate estimate(const kernels::KernelVariant& v,
                                   const PointsSoA& sample,
                                   const kernels::ProblemDesc& desc,

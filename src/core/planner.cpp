@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <array>
-#include <limits>
+#include <exception>
+#include <numeric>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/fingerprint.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "vgpu/stream.hpp"
 
 namespace tbs::core {
 
@@ -44,6 +46,17 @@ Candidate price(backend::IBackend& be, const PointsSoA& sample,
   return c;
 }
 
+/// Make `c` the plan's launch.
+void adopt(Plan& p, const Candidate& c) {
+  p.kernel = c.kernel;
+  p.block_size = c.block_size;
+  p.predicted_seconds = c.predicted_seconds;
+  p.backend = c.kind;
+  p.backend_name = c.backend;
+  p.raw_predicted_seconds = c.raw_seconds;
+  p.variant_key = c.name;
+}
+
 /// Re-price every candidate from its stored raw estimate with the
 /// corrector's current factors and rebind the plan to the cheapest
 /// corrected candidate. A no-op without a corrector, and on plans whose
@@ -62,13 +75,7 @@ void apply_correction(Plan& p, const EstimateCorrector* corrector,
   const bool changed = winner->kernel != p.kernel ||
                        winner->block_size != p.block_size ||
                        winner->backend != p.backend_name;
-  p.kernel = winner->kernel;
-  p.block_size = winner->block_size;
-  p.predicted_seconds = winner->predicted_seconds;
-  p.backend = winner->kind;
-  p.backend_name = winner->backend;
-  p.raw_predicted_seconds = winner->raw_seconds;
-  p.variant_key = winner->name;
+  adopt(p, *winner);
   if (changed)
     obs::MetricsRegistry::global().counter("planner.estimate.reranks").inc();
 }
@@ -154,13 +161,24 @@ namespace {
 /// the registry variants it supports, price every launchable (backend,
 /// variant, block size) triple through the backend's own cost model, pick
 /// the cheapest.
+///
+/// The candidates are priced at once, as tasks on the vgpu block queue
+/// (estimate() may run on any thread), largest block first: those
+/// calibrations simulate the most. Each task carries the caller's trace
+/// context and keeps its error to itself; once every task has finished,
+/// the first candidate's error in enumeration order is rethrown. The
+/// winner is picked in enumeration order with a strict less-than, so the
+/// plan equals one-at-a-time pricing whatever order the tasks finish in.
 Plan calibrate_plan(std::span<backend::IBackend* const> backends,
                     const PointsSoA& sample,
                     const kernels::ProblemDesc& desc, double target_n) {
   check(!backends.empty(), "plan: empty backend set");
-  Plan out;
-  out.predicted_seconds = std::numeric_limits<double>::infinity();
-
+  struct Launchable {
+    backend::IBackend* be;
+    const kernels::KernelVariant* kernel;
+    int block_size;
+  };
+  std::vector<Launchable> configs;
   for (backend::IBackend* be : backends) {
     const auto candidates = kernels::KernelRegistry::instance().plannable(
         desc.type, be->caps().registry_mask);
@@ -172,22 +190,41 @@ Plan calibrate_plan(std::span<backend::IBackend* const> backends,
       for (const int b : blocks) {
         // Skip configurations the backend cannot launch (shared-memory
         // demand over the device cap, unsupported substrate).
-        if (!be->can_launch(*kernel, desc, b)) continue;
-        Candidate c = price(*be, sample, *kernel, desc, b, target_n);
-        if (c.predicted_seconds < out.predicted_seconds) {
-          out.predicted_seconds = c.predicted_seconds;
-          out.kernel = kernel;
-          out.block_size = b;
-          out.backend = be->caps().kind;
-          out.backend_name = be->caps().name;
-          out.raw_predicted_seconds = c.raw_seconds;
-          out.variant_key = c.name;
-        }
-        out.considered.push_back(std::move(c));
+        if (be->can_launch(*kernel, desc, b))
+          configs.push_back({be, kernel, b});
       }
     }
   }
-  check(!out.considered.empty(), "plan: no launchable candidate");
+  check(!configs.empty(), "plan: no launchable candidate");
+
+  std::vector<std::size_t> issue(configs.size());
+  std::iota(issue.begin(), issue.end(), std::size_t{0});
+  std::stable_sort(issue.begin(), issue.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return configs[a].block_size > configs[b].block_size;
+                   });
+  std::vector<Candidate> priced(configs.size());
+  std::vector<std::exception_ptr> errors(configs.size());
+  const obs::TraceContext trace = obs::current_trace_context();
+  vgpu::run_tasks(static_cast<int>(issue.size()), [&](int task) {
+    const std::size_t i = issue[static_cast<std::size_t>(task)];
+    try {
+      const obs::ScopedTraceContext scope(trace);
+      priced[i] = price(*configs[i].be, sample, *configs[i].kernel, desc,
+                        configs[i].block_size, target_n);
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  });
+  for (const std::exception_ptr& e : errors)
+    if (e) std::rethrow_exception(e);
+
+  Plan out;
+  out.considered = std::move(priced);
+  const Candidate* winner = &out.considered.front();
+  for (const Candidate& c : out.considered)
+    if (c.predicted_seconds < winner->predicted_seconds) winner = &c;
+  adopt(out, *winner);
   return out;
 }
 

@@ -8,10 +8,13 @@
 //
 // The generic entry point is plan(): it enumerates KernelRegistry rather
 // than a per-problem table, so a new statistic becomes plannable the moment
-// its variants register. Calibration launches go through the backends being
-// priced, so planning shares the pooled stream lanes with serving; pass a
-// PlanCache to memoize plans across queries (calibration is the expensive
-// part — a hit costs zero launches).
+// its variants register. Each candidate is priced by its backend's
+// estimate(), which leaves the backend's serving state alone (vgpu
+// calibration launches run on cold twins of the device), so plan() prices
+// all candidates of a miss at once, as tasks on the vgpu block queue, and
+// needs no launch lock of the backends it prices. Pass a PlanCache to
+// memoize plans across queries (calibration is the expensive part — a hit
+// costs zero launches).
 //
 // choose() is the one variant-choice rule both front doors (QueryEngine
 // and TwoBodyFramework) launch through: the query's default variant, the
@@ -128,7 +131,10 @@ class PlanCache {
 /// Plan a run of `target_n` points of the described problem over a set of
 /// backends: every (backend × supported variant × block size) candidate is
 /// priced through the backend's own cost model (Eqs. 2–7 for vgpu, the
-/// calibrated throughput model for CPU) and the cheapest wins. `sample`
+/// calibrated throughput model for CPU), all at once, and the cheapest wins
+/// (the first in candidate order on a tie, whatever order pricing ends in).
+/// When candidates throw, plan() waits for the rest and rethrows the first
+/// candidate's error. `sample`
 /// supplies the data distribution for calibration (a subset is used; it
 /// may be much smaller than target_n). Candidates a backend cannot launch
 /// (shared-memory demand over the device cap, missing substrate support)

@@ -714,9 +714,9 @@ QueryEngine::Outcome QueryEngine::run_ladder(
   std::optional<QueryResult> rejected;
 
   // Rung 0: sharded fan-out. The query runs as K shards x tiles over the
-  // whole backend pool, merged with the reduction tree. This must run
-  // *before* the rung-1 device lock: the shard executor takes each lane's
-  // launch mutex per tile, including ctx.mu. The executor survives
+  // whole backend pool, merged with the reduction tree. It runs holding
+  // no lock: the shard executor takes each lane's launch mutex per tile,
+  // including ctx.mu. The executor survives
   // individual lane deaths internally (tiles fail over to survivors), so
   // falling through to the unsharded ladder only happens when the whole
   // pool failed; the breaker records nothing either way because no outcome
@@ -737,8 +737,7 @@ QueryEngine::Outcome QueryEngine::run_ladder(
     ++attempts;
     const Clock::time_point a0 = Clock::now();
     try {
-      const std::lock_guard<std::mutex> dev_lock(ctx.mu);
-      result = execute(ctx.be, *job, qc, /*degraded=*/false);
+      result = execute(ctx.be, ctx.mu, *job, qc, /*degraded=*/false);
       // Algebraic invariants (Eq. 1) gate every answer before it counts as
       // a success; a breach throws IntegrityError into this rung's catch
       // as a non-transient fault, pushing the ladder to an independent
@@ -794,8 +793,8 @@ QueryEngine::Outcome QueryEngine::run_ladder(
     failover_span.attr("from", ctx.be.caps().name);
     const Clock::time_point f0 = Clock::now();
     try {
-      const std::lock_guard<std::mutex> failover_lock(failover_mu_);
-      result = execute(failover_backend(), *job, qc, /*degraded=*/false);
+      result = execute(failover_backend(), failover_mu_, *job, qc,
+                       /*degraded=*/false);
       verify_result(job->query, *job->pts, result,
                     "QueryEngine failover rung");
       failover_span.attr("to", failover_backend().caps().name);
@@ -818,8 +817,7 @@ QueryEngine::Outcome QueryEngine::run_ladder(
   if (cfg_.degrade && has_degraded_rung(*job)) {
     const Clock::time_point d0 = Clock::now();
     try {
-      const std::lock_guard<std::mutex> dev_lock(ctx.mu);
-      result = execute(ctx.be, *job, qc, /*degraded=*/true);
+      result = execute(ctx.be, ctx.mu, *job, qc, /*degraded=*/true);
       verify_result(job->query, *job->pts, result,
                     "QueryEngine degraded rung");
       breaker.record_success();
@@ -889,9 +887,8 @@ bool QueryEngine::run_sharded(WorkerCtx& ctx,
                               obs::QueryCost& qc) {
   note(Event::ShardQuery, *job, ctx.index);
 
-  // Sharded jobs skip the planner: calibration launches cannot safely run
-  // while the executor interleaves tile launches over the same lane
-  // mutexes, so tiles use the fixed dual-backend default variant.
+  // Sharded jobs skip the planner: the shard count is not a plan
+  // dimension, so tiles use the fixed dual-backend default variant.
   shard::Options sopt;
   sopt.shards = job->shards;
   sopt.strategy = job->shard_strategy;
@@ -1004,7 +1001,8 @@ bool QueryEngine::run_sharded(WorkerCtx& ctx,
   }
 }
 
-QueryResult QueryEngine::execute(backend::IBackend& be, const Job& job,
+QueryResult QueryEngine::execute(backend::IBackend& be,
+                                 std::mutex& launch_mu, const Job& job,
                                  obs::QueryCost& qc, bool degraded) {
   const PointsSoA& pts = *job.pts;
   // Cost/feedback capture. Phase seconds are staged in locals and committed
@@ -1024,10 +1022,15 @@ QueryResult QueryEngine::execute(backend::IBackend& be, const Job& job,
 
   QueryResult result;
   kernels::KernelOutput out = output_sinks(job.query, result);
-  const Clock::time_point l0 = Clock::now();
-  const vgpu::KernelStats stats = be.launch(
-      *choice.kernel, pts, job.problem.desc, choice.block_size, out);
-  const double launch_wall = wall_since(l0);
+  vgpu::KernelStats stats;
+  double launch_wall = 0.0;
+  {
+    const std::lock_guard<std::mutex> lock(launch_mu);
+    const Clock::time_point l0 = Clock::now();
+    stats = be.launch(*choice.kernel, pts, job.problem.desc,
+                      choice.block_size, out);
+    launch_wall = wall_since(l0);
+  }
   std::visit(
       [&](auto& r) {
         r.stats = stats;
@@ -1082,9 +1085,9 @@ bool QueryEngine::maybe_audit(WorkerCtx& ctx,
   const bool input_ok = points_checksum(*job->pts) == job->input_checksum;
   std::optional<QueryResult> reference;
   try {
-    const std::lock_guard<std::mutex> lock(failover_mu_);
     obs::QueryCost scratch;  // the reference run is the audit phase's cost
-    reference = execute(failover_backend(), *job, scratch, /*degraded=*/true);
+    reference = execute(failover_backend(), failover_mu_, *job, scratch,
+                        /*degraded=*/true);
   } catch (...) {
     // The reference lane itself failed; there is nothing to compare
     // against, so the primary answer stands.
@@ -1112,6 +1115,7 @@ bool QueryEngine::maybe_audit(WorkerCtx& ctx,
 }
 
 backend::CpuBackend& QueryEngine::failover_backend() {
+  const std::lock_guard<std::mutex> lock(failover_mu_);
   if (!failover_cpu_) {
     backend::CpuBackend::Config bc;
     bc.threads = cfg_.cpu_threads;

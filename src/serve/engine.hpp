@@ -10,10 +10,10 @@
 //   result-cache lookup ──hit──▶   (no work: ready future)
 //   in-flight coalescing ─dup──▶   (no work: share the winner's future)
 //   bounded MPMC queue  ──────▶    pop → core::choose (shared PlanCache,
-//     · try_submit: reject when      single-flight calibration) → one
-//       full (admission control)     IBackend::launch on the worker's
-//     · submit: block for a slot     backend → store in the result cache →
-//       (backpressure)               fulfill every attached promise
+//     · try_submit: reject when      single-flight calibration, no lock)
+//       full (admission control)     → one IBackend::launch under the
+//     · submit: block for a slot     worker's slot lock → store in the
+//       (backpressure)               result cache → fulfill every promise
 //
 // Results are deterministic: every kernel the engine dispatches is
 // bit-identical between pooled and inline execution (the vgpu runtime
@@ -391,7 +391,8 @@ class QueryEngine {
   /// launches on it. A device's stream workers and its shard lane share
   /// its backend under this lock (a Device is not thread-safe across
   /// lanes); a CPU worker's lock never contends, but the ladder code stays
-  /// substrate-agnostic.
+  /// substrate-agnostic. The lock covers launches only: planning prices
+  /// candidates without it (IBackend::estimate).
   struct Slot {
     std::unique_ptr<vgpu::Device> dev;  ///< null for a CPU worker
     /// Borrows dev, so it is declared after it (and destroyed first).
@@ -477,17 +478,20 @@ class QueryEngine {
   /// Run one query of any type through a backend handle: core::choose
   /// picks the registry variant (the query's default, planned above the
   /// threshold — Tree-SDH included on CPU backends), then one
-  /// IBackend::launch runs it. `degraded` is the known-safe fallback: the
-  /// planner is bypassed and the result is tagged degraded. The caller
-  /// holds the backend's launch lock. Fills `qc`'s plan/launch phases and
-  /// estimate-vs-measured fields (commit-on-success: a throw leaves `qc`
-  /// untouched so the caller can charge the attempt to waste), and feeds
-  /// the planner's estimate corrector.
-  QueryResult execute(backend::IBackend& be, const Job& job,
-                      obs::QueryCost& qc, bool degraded);
+  /// IBackend::launch runs it under `launch_mu`, the backend's launch
+  /// lock. Planning takes no lock of the backend's (IBackend::estimate
+  /// runs alongside its launches), so a plan miss's calibration never
+  /// holds up the backend's other workers. `degraded` is the known-safe
+  /// fallback: the planner is bypassed and the result is tagged degraded.
+  /// Fills `qc`'s plan/launch phases and estimate-vs-measured fields
+  /// (commit-on-success: a throw leaves `qc` untouched so the caller can
+  /// charge the attempt to waste), and feeds the planner's estimate
+  /// corrector.
+  QueryResult execute(backend::IBackend& be, std::mutex& launch_mu,
+                      const Job& job, obs::QueryCost& qc, bool degraded);
 
   /// The shared CPU backend behind the failover rung, created on first
-  /// use. Caller must hold failover_mu_.
+  /// use under failover_mu_, which is also its launch lock.
   backend::CpuBackend& failover_backend();
 
   /// True when the query has a degraded rung distinct from its normal path:

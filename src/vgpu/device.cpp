@@ -28,7 +28,9 @@
 // oldest launch in it, and each launching thread claims blocks of its own
 // launch until none is left, then waits for the helpers' blocks to finish.
 // So launches on different devices run at once and share the helpers, and
-// a block's thread never changes what the block computes.
+// a block's thread never changes what the block computes. run_tasks() puts
+// host tasks on the same queue as the blocks of one launch; a task that
+// launches waits only for its own launch's blocks, which no task holds.
 #include "vgpu/device.hpp"
 
 #include <algorithm>
@@ -657,6 +659,10 @@ BlockQueue& block_queue() {
 void set_async_worker_count(unsigned n) { requested_async_workers() = n; }
 
 unsigned async_worker_count() { return block_queue().threads(); }
+
+void run_tasks(int n, const std::function<void(int)>& task) {
+  if (n > 0) block_queue().run(n, task);
+}
 
 Device::Device(DeviceSpec spec)
     : spec_(std::move(spec)),

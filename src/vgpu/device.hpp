@@ -36,6 +36,8 @@ struct LaunchRecord {
 
 /// Per-launch callback. Invoked on the thread that issued the launch,
 /// after the launch's counters are final and launch_count() is updated.
+/// A device's cold twins (Device::cold_twin) call it too, each from the
+/// thread that issued its launch, so it may run on several threads at once.
 using LaunchObserver = std::function<void(const LaunchRecord&)>;
 
 /// The simulated GPU. Launches are deterministic: every block executes
@@ -62,16 +64,28 @@ class Device {
   /// Drop all cached lines in L2 (e.g. between unrelated experiments).
   void flush_caches() { l2_.invalidate(); }
 
-  /// Kernel launches executed so far. The plan cache's "no
-  /// recalibration" tests key off this counter.
+  /// A private device for launches that must not depend on this one's
+  /// history, such as a planner's calibration: this device's spec, an
+  /// empty L2, no fault plan, a launch_count() of its own, and this
+  /// device's launch observer, so the launches still reach the hook.
+  [[nodiscard]] Device cold_twin() const {
+    Device twin(spec_);
+    twin.observer_ = observer_;
+    return twin;
+  }
+
+  /// Kernel launches executed on this device so far; a cold twin counts
+  /// its own.
   [[nodiscard]] std::uint64_t launch_count() const noexcept {
     return launches_done_;
   }
 
   /// Install (or, with nullptr, remove) the per-launch profiler hook. One
-  /// observer per device; installing replaces the previous one. The
-  /// observer runs with the same threading discipline as the launch itself
-  /// (a Device is driven from one host thread at a time).
+  /// observer per device; installing replaces the previous one, and cold
+  /// twins made afterwards carry the new one. A device is driven from one
+  /// host thread at a time, but its cold twins run on the planner's
+  /// threads, so the observer can be called from several threads at once
+  /// and must be thread-safe.
   void set_launch_observer(LaunchObserver observer) {
     observer_ = std::move(observer);
   }

@@ -17,6 +17,8 @@
 // driven from one host thread at a time, like a CUDA stream.
 #pragma once
 
+#include <functional>
+
 #include "vgpu/device.hpp"
 
 namespace tbs::vgpu {
@@ -74,5 +76,13 @@ void set_async_worker_count(unsigned n);
 /// Threads per stream launch, the launching thread included (starts the
 /// helpers on first call).
 unsigned async_worker_count();
+
+/// Run task(i) for every i in [0, n) on the block queue, claimed in index
+/// order: the calling thread and the helpers take tasks until none is
+/// left, so at most async_worker_count() run at once. Returns once every
+/// task has finished. A task must not throw. It may issue stream launches
+/// of its own: a launching thread claims its own launch's blocks, so
+/// nesting cannot deadlock.
+void run_tasks(int n, const std::function<void(int)>& task);
 
 }  // namespace tbs::vgpu

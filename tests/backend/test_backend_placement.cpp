@@ -261,6 +261,41 @@ TEST(VgpuBackendEstimate, CalibratesAtOneTwoAndThreeBlocks) {
                                 {3, 128}, {1, 128}}));
 }
 
+TEST(VgpuBackendEstimate, IsAPureFunctionOfItsArguments) {
+  // An estimate reads its arguments and the device spec, never the
+  // serving device's history: unrelated launches on the device in between
+  // change no field, and a backend on another device prices the same.
+  const kernels::KernelRegistry& registry =
+      kernels::KernelRegistry::instance();
+  const PointsSoA sample = uniform_box(4096, 10.0f, /*seed=*/7);
+  const kernels::ProblemDesc sdh = kernels::ProblemDesc::sdh(
+      sample.max_possible_distance() / 64 + 1e-4, 64);
+  const kernels::KernelVariant& shuffle =
+      *registry.find(kernels::ProblemType::Sdh, "Shuffle");
+
+  vgpu::Device dev;
+  backend::VgpuBackend be(dev);
+  const backend::Estimate before = be.estimate(shuffle, sample, sdh, 128, 1e6);
+  for (const char* name : {"Reg-ROC-Out", "Reg-SHM-Out", "Shuffle"}) {
+    const PointsSoA other = uniform_box(2048, 10.0f, /*seed=*/8);
+    kernels::KernelOutput out;
+    (void)be.launch(*registry.find(kernels::ProblemType::Sdh, name), other,
+                    sdh, 256, out);
+  }
+  const backend::Estimate after = be.estimate(shuffle, sample, sdh, 128, 1e6);
+
+  vgpu::Device elsewhere_dev;
+  backend::VgpuBackend elsewhere(elsewhere_dev);
+  const backend::Estimate fresh =
+      elsewhere.estimate(shuffle, sample, sdh, 128, 1e6);
+
+  for (const backend::Estimate& e : {after, fresh}) {
+    EXPECT_EQ(e.seconds, before.seconds);
+    EXPECT_EQ(e.bottleneck, before.bottleneck);
+    EXPECT_EQ(e.clamped_fits, before.clamped_fits);
+  }
+}
+
 #ifdef __linux__
 TEST(CpuBackendAffinity, DefaultLaunchLeavesTheCallersMaskUnchanged) {
   // Worker 0 of a CPU pool is the calling thread, so a pinning policy would

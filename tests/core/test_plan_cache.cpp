@@ -4,6 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <climits>
+#include <functional>
+#include <limits>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,6 +25,65 @@ namespace tbs::core {
 namespace {
 
 using kernels::ProblemDesc;
+
+/// Forwards to `inner`, calling `hook` with each candidate before pricing
+/// it: a hook that throws fails that candidate's calibration (calibration
+/// launches run on cold devices, which no fault plan reaches).
+class HookedEstimates final : public backend::IBackend {
+ public:
+  using Hook = std::function<void(const kernels::KernelVariant&, int)>;
+
+  HookedEstimates(backend::IBackend& inner, Hook hook)
+      : inner_(inner), hook_(std::move(hook)) {}
+
+  [[nodiscard]] const backend::Capabilities& caps() const override {
+    return inner_.caps();
+  }
+  [[nodiscard]] bool can_launch(const kernels::KernelVariant& v,
+                                const ProblemDesc& desc,
+                                int block_size) const override {
+    return inner_.can_launch(v, desc, block_size);
+  }
+  std::size_t stage(const PointsSoA& pts) override {
+    return inner_.stage(pts);
+  }
+  vgpu::KernelStats launch(const kernels::KernelVariant& v,
+                           const PointsSoA& pts, const ProblemDesc& desc,
+                           int block_size,
+                           kernels::KernelOutput& out) override {
+    return inner_.launch(v, pts, desc, block_size, out);
+  }
+  vgpu::KernelStats launch_cross(const PointsSoA& anchors,
+                                 const PointsSoA& partners,
+                                 const ProblemDesc& desc, int block_size,
+                                 kernels::KernelOutput& out) override {
+    return inner_.launch_cross(anchors, partners, desc, block_size, out);
+  }
+  [[nodiscard]] backend::Estimate estimate(const kernels::KernelVariant& v,
+                                           const PointsSoA& sample,
+                                           const ProblemDesc& desc,
+                                           int block_size,
+                                           double target_n) override {
+    hook_(v, block_size);
+    return inner_.estimate(v, sample, desc, block_size, target_n);
+  }
+  [[nodiscard]] backend::Counters counters() const override {
+    return inner_.counters();
+  }
+
+ private:
+  backend::IBackend& inner_;
+  Hook hook_;
+};
+
+/// A hook whose first `n` calls throw a device error (from any thread).
+HookedEstimates::Hook fail_first(int n) {
+  auto left = std::make_shared<std::atomic<int>>(n);
+  return [left](const kernels::KernelVariant&, int) {
+    if (left->fetch_sub(1) > 0)
+      throw vgpu::DeviceLostError("injected calibration failure");
+  };
+}
 
 TEST(GenericPlan, AgreesAcrossBackendsOnEqualDevices) {
   // Two VgpuBackends on two equal devices (as the framework and the serve
@@ -152,13 +216,13 @@ TEST(PlanCache, HitCostsZeroCalibrationLaunches) {
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 0u);
   EXPECT_EQ(cache.size(), 1u);
-  const std::uint64_t launches_after_first = dev.launch_count();
+  const std::uint64_t launches_after_first = be.counters().launches;
   EXPECT_GT(launches_after_first, 0u);
 
   // Same problem, nearby size: memoized — not a single simulation runs.
   const Plan second =
       plan(one, sample, ProblemDesc::pcf(2.0), 60'000.0, &cache);
-  EXPECT_EQ(dev.launch_count(), launches_after_first);
+  EXPECT_EQ(be.counters().launches, launches_after_first);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(second.kernel, first.kernel);
   EXPECT_EQ(second.block_size, first.block_size);
@@ -166,28 +230,37 @@ TEST(PlanCache, HitCostsZeroCalibrationLaunches) {
   // A new radius moves no vgpu counter, so it prices the same: a hit.
   const Plan third =
       plan(one, sample, ProblemDesc::pcf(1.0), 50'000.0, &cache);
-  EXPECT_EQ(dev.launch_count(), launches_after_first);
+  EXPECT_EQ(be.counters().launches, launches_after_first);
   EXPECT_EQ(cache.hits(), 2u);
   EXPECT_EQ(third.kernel, first.kernel);
 
   // A different problem shape misses and re-calibrates.
   plan(one, sample, ProblemDesc::sdh(0.5, 64), 50'000.0, &cache);
   EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_GT(dev.launch_count(), launches_after_first);
+  EXPECT_GT(be.counters().launches, launches_after_first);
 }
 
 TEST(PlanCache, ConcurrentMissesCalibrateExactlyOnce) {
   const auto sample = uniform_box(2048, 10.0f, 3);
   const auto desc = ProblemDesc::pcf(2.0);
 
+  // Calibration runs on cold twins of a device, which report each launch
+  // to the device's hook (from several threads at once).
+  std::atomic<std::uint64_t> hooked{0};
+  const auto count_launches = [&hooked](vgpu::Device& dev) {
+    dev.set_launch_observer(
+        [&hooked](const vgpu::LaunchRecord&) { hooked.fetch_add(1); });
+  };
+
   // How many launches one calibration round costs, measured solo.
   std::uint64_t solo_launches = 0;
   {
     vgpu::Device dev;
+    count_launches(dev);
     backend::VgpuBackend be(dev);
     backend::IBackend* one[] = {&be};
     plan(one, sample, desc, 50'000.0);
-    solo_launches = dev.launch_count();
+    solo_launches = hooked.exchange(0);
   }
   ASSERT_GT(solo_launches, 0u);
 
@@ -199,6 +272,7 @@ TEST(PlanCache, ConcurrentMissesCalibrateExactlyOnce) {
   PlanCache cache;
   constexpr int kThreads = 2;
   std::vector<vgpu::Device> devs(kThreads);
+  for (vgpu::Device& d : devs) count_launches(d);
   std::vector<Plan> plans(kThreads);
   std::atomic<int> ready{0};
   std::vector<std::thread> threads;
@@ -215,8 +289,7 @@ TEST(PlanCache, ConcurrentMissesCalibrateExactlyOnce) {
   }
   for (std::thread& th : threads) th.join();
 
-  std::uint64_t total_launches = 0;
-  for (const vgpu::Device& d : devs) total_launches += d.launch_count();
+  const std::uint64_t total_launches = hooked.load();
   EXPECT_EQ(total_launches, solo_launches);
   EXPECT_EQ(cache.size(), 1u);
   ASSERT_NE(plans[0].kernel, nullptr);
@@ -228,14 +301,12 @@ TEST(PlanCache, FailedCalibrationReleasesTheGateAndCachesNothing) {
   const auto sample = uniform_box(2048, 10.0f, 3);
   const auto desc = ProblemDesc::pcf(2.0);
 
-  // A device whose first launch attempt fails mid-calibration: the plan
-  // must propagate the error, cache nothing (no poisoned entry), and drop
-  // the single-flight gate so a retry can calibrate.
+  // A backend whose first estimate fails mid-calibration: the plan must
+  // propagate the error, cache nothing (no poisoned entry), and drop the
+  // single-flight gate so a retry can calibrate.
   vgpu::Device dev;
-  vgpu::FaultPlan chaos;
-  chaos.fail_first_n = 1;
-  dev.set_fault_plan(chaos);
-  backend::VgpuBackend be(dev);
+  backend::VgpuBackend vgpu_be(dev);
+  HookedEstimates be(vgpu_be, fail_first(1));
   backend::IBackend* one[] = {&be};
   PlanCache cache;
 
@@ -261,16 +332,13 @@ TEST(PlanCache, ConcurrentFailureDoesNotWedgeTheSingleFlightGate) {
   const auto sample = uniform_box(2048, 10.0f, 3);
   const auto desc = ProblemDesc::pcf(2.0);
 
-  // One permanently failing device and one healthy device race on the same
-  // key. Whichever wins the gate, the gate must come back out: either the
+  // One backend whose every estimate fails and one healthy backend race on
+  // the same key. Whichever wins the gate, the gate must come back out: either the
   // faulty thread fails and the healthy one recalibrates, or the healthy
   // one wins and the faulty thread is served from the cache with zero
   // launches. Both endings leave exactly one good cached plan.
   PlanCache cache;
   vgpu::Device faulty;
-  vgpu::FaultPlan chaos;
-  chaos.device_lost = true;
-  faulty.set_fault_plan(chaos);
   vgpu::Device healthy;
 
   std::atomic<int> ready{0};
@@ -280,7 +348,8 @@ TEST(PlanCache, ConcurrentFailureDoesNotWedgeTheSingleFlightGate) {
   for (int t = 0; t < 2; ++t) {
     threads.emplace_back([&, t] {
       vgpu::Device& dev = (t == 0) ? faulty : healthy;
-      backend::VgpuBackend be(dev);
+      backend::VgpuBackend vgpu_be(dev);
+      HookedEstimates be(vgpu_be, fail_first(t == 0 ? INT_MAX : 0));
       backend::IBackend* one[] = {&be};
       ready.fetch_add(1);
       while (ready.load() < 2) std::this_thread::yield();
@@ -301,6 +370,108 @@ TEST(PlanCache, ConcurrentFailureDoesNotWedgeTheSingleFlightGate) {
   EXPECT_EQ(planned.load() + exceptions.load(), 4);
   EXPECT_GE(planned.load(), 2);
   EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(GenericPlan, ConcurrentPricingEqualsOneAtATime) {
+  // plan() prices every candidate at once, in any order the block queue
+  // finishes them; what it considers and picks must equal a loop of
+  // estimate() calls over the backends, variants and block sizes in
+  // order, with the first strictly cheapest candidate winning.
+  const auto sample = uniform_box(2048, 10.0f, 5);
+  const int buckets = 64;
+  const auto desc =
+      ProblemDesc::sdh(sample.max_possible_distance() / buckets + 1e-4,
+                       buckets);
+  const double target_n = 100'000.0;
+  backend::CpuBackend::Config cfg;
+  cfg.threads = 2;
+  cfg.pair_cost_seconds = 1e-9;
+  backend::CpuBackend cpu(cfg);
+  vgpu::Device dev;
+  backend::VgpuBackend gpu(dev);
+  backend::IBackend* both[] = {&cpu, &gpu};
+
+  const Plan p = plan(both, sample, desc, target_n);
+
+  std::vector<std::string> names;
+  std::vector<double> seconds;
+  std::string winner;
+  double best = std::numeric_limits<double>::infinity();
+  for (backend::IBackend* be : both) {
+    const bool vgpu = be->caps().kind == backend::Kind::Vgpu;
+    for (const kernels::KernelVariant* v :
+         kernels::KernelRegistry::instance().plannable(
+             desc.type, be->caps().registry_mask)) {
+      for (const int b : vgpu ? std::vector<int>{128, 256, 512}
+                              : std::vector<int>{256}) {
+        if (!be->can_launch(*v, desc, b)) continue;
+        const double est =
+            be->estimate(*v, sample, desc, b, target_n).seconds;
+        names.push_back(v->name + "/B" + std::to_string(b));
+        seconds.push_back(est);
+        if (est < best) {
+          best = est;
+          winner = names.back();
+        }
+      }
+    }
+  }
+  ASSERT_EQ(p.considered.size(), names.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(p.considered[i].name, names[i]);
+    EXPECT_EQ(p.considered[i].raw_seconds, seconds[i]) << names[i];
+  }
+  EXPECT_EQ(p.variant_key, winner);
+  EXPECT_EQ(p.raw_predicted_seconds, best);
+}
+
+TEST(GenericPlan, RethrowsTheFirstFailingCandidatesError) {
+  // Candidates fail in whatever order their tasks run; plan() waits for
+  // all of them and rethrows the error of the first in candidate order.
+  const auto sample = uniform_box(2048, 10.0f, 3);
+  const auto desc = ProblemDesc::sdh(0.5, 64);
+  vgpu::Device dev;
+  backend::VgpuBackend gpu(dev);
+  HookedEstimates be(gpu, [](const kernels::KernelVariant& v, int b) {
+    if (b != 256) throw CheckError(v.name + "/B" + std::to_string(b));
+  });
+  backend::IBackend* one[] = {&be};
+  const std::string first =
+      kernels::KernelRegistry::instance()
+          .plannable(desc.type, gpu.caps().registry_mask)
+          .front()
+          ->name +
+      "/B128";
+  for (int round = 0; round < 3; ++round) {
+    try {
+      (void)plan(one, sample, desc, 100'000.0);
+      ADD_FAILURE() << "plan() returned although candidates failed";
+    } catch (const CheckError& e) {
+      EXPECT_EQ(std::string(e.what()), first);
+    }
+  }
+}
+
+TEST(PlanCache, OneFailingCandidateFailsThePlanAndTheNextPlanCalibrates) {
+  // One of an SDH miss's 15 vgpu candidates throws: every other candidate
+  // still finishes before plan() rethrows, nothing is cached, the gate is
+  // released, and the next plan() calibrates all 15.
+  const auto sample = uniform_box(2048, 10.0f, 3);
+  const auto desc = ProblemDesc::sdh(0.5, 64);
+  vgpu::Device dev;
+  backend::VgpuBackend gpu(dev);
+  HookedEstimates be(gpu, fail_first(1));
+  backend::IBackend* one[] = {&be};
+  PlanCache cache;
+
+  EXPECT_THROW(plan(one, sample, desc, 50'000.0, &cache), vgpu::DeviceError);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(gpu.counters().launches, 14u * 3u);
+
+  const Plan retried = plan(one, sample, desc, 50'000.0, &cache);
+  EXPECT_EQ(retried.considered.size(), 15u);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(gpu.counters().launches, (14u + 15u) * 3u);
 }
 
 TEST(Framework, RepeatedQueryReusesThePlanWithZeroCalibration) {
