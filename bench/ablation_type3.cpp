@@ -34,11 +34,9 @@ int main(int argc, char** argv) {
   obs::BenchReport report("ablation_type3");
   std::vector<double> ratio;
   for (const double r : radii) {
-    dev.flush_caches();
     const auto cur =
         kernels::run_distance_join(dev, pts, r, JoinVariant::GlobalCursor,
                                    256);
-    dev.flush_caches();
     const auto two =
         kernels::run_distance_join(dev, pts, r, JoinVariant::TwoPhase, 256);
     const double tc = perfmodel::model_time(dev.spec(), cur.stats).seconds;

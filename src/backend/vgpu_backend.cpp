@@ -164,8 +164,9 @@ Estimate VgpuBackend::estimate(const kernels::KernelVariant& v,
   std::array<vgpu::KernelStats, 3> stats;
   for (std::size_t i = 0; i < ns.size(); ++i) {
     const PointsSoA pts = take(sample, static_cast<std::size_t>(ns[i]));
-    // Each calibration launch starts cold and has no fault plan, whatever
-    // the serving device ran before; it still reports to its launch hook.
+    // Each calibration launch runs on a twin of the device: no fault plan,
+    // not in the device's launch_count(), and free to run while the device
+    // serves; it still reports to its launch hook.
     vgpu::Device cold = stream_.device().cold_twin();
     vgpu::Stream lane(cold);
     kernels::KernelOutput sink;  // calibration discards outputs

@@ -159,10 +159,6 @@ DriftReport check_drift(backend::IBackend& be, const DriftOptions& opt) {
             : kernels::ProblemDesc::pcf(opt.radius);
     for (const kernels::KernelVariant* kernel :
          registry.plannable(type, be.caps().registry_mask)) {
-      if (!opt.only_variants.empty() &&
-          std::find(opt.only_variants.begin(), opt.only_variants.end(),
-                    kernel->name) == opt.only_variants.end())
-        continue;
       if (!be.can_launch(*kernel, desc, opt.block_size))
         continue;  // not launchable at this block size on this substrate
 

@@ -95,9 +95,6 @@ struct DriftOptions {
   int buckets = 64;      ///< SDH histogram size
   double radius = 2.0;   ///< PCF cutoff
   double tolerance = kDriftTolerance;
-  /// Optional name filter: when non-empty, only variants whose registry
-  /// name appears here are checked (e.g. the serving defaults).
-  std::vector<std::string> only_variants;
 };
 
 /// Run the drift sweep through `be`. Each row compares one access counter

@@ -15,11 +15,18 @@ class SetAssocCache {
  public:
   /// Build a cache of `size_bytes` capacity with `ways` lines per set and
   /// `line_bytes` line size. Set count is rounded down to a power of two.
-  SetAssocCache(std::size_t size_bytes, int ways, std::size_t line_bytes)
-      : line_bytes_(line_bytes), ways_(ways) {
+  SetAssocCache(std::size_t size_bytes, int ways, std::size_t line_bytes) {
+    reset(size_bytes, ways, line_bytes);
+  }
+
+  /// Empty the cache and give it this geometry, reusing its storage when
+  /// that is large enough (counters are preserved).
+  void reset(std::size_t size_bytes, int ways, std::size_t line_bytes) {
     check(line_bytes > 0 && (line_bytes & (line_bytes - 1)) == 0,
           "cache line size must be a power of two");
     check(ways > 0, "cache needs at least one way");
+    line_bytes_ = line_bytes;
+    ways_ = ways;
     std::size_t sets = size_bytes / (static_cast<std::size_t>(ways) *
                                      line_bytes);
     if (sets == 0) sets = 1;
@@ -69,8 +76,8 @@ class SetAssocCache {
  private:
   static constexpr std::uint64_t kInvalid = ~std::uint64_t{0};
 
-  std::size_t line_bytes_;
-  int ways_;
+  std::size_t line_bytes_ = 0;
+  int ways_ = 0;
   std::size_t set_mask_ = 0;
   std::vector<std::uint64_t> lines_;
   std::vector<std::uint64_t> stamp_;

@@ -6,8 +6,8 @@
 // stream launch different *blocks* may run on different threads of the
 // block queue (the launching thread or a helper), at the same time as
 // blocks of other devices' launches. The blocks of a launch never share
-// coroutine state, and the snapshot/replay contract in device.cpp keeps
-// results deterministic either way.
+// coroutine state or cache state (each starts from empty caches, see
+// device.cpp), so results are deterministic either way.
 #pragma once
 
 #include <coroutine>

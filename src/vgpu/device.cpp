@@ -14,14 +14,14 @@
 // real SIMT hardware.
 //
 // Launch semantics (shared by Device::launch and Stream::launch):
-// every block executes against a private copy of the L2 state taken at
-// launch entry — on real hardware blocks race, so no block may depend on
-// another's fills — and each block logs its device-visible side effects
-// (unique L2 lines and atomic lines, in first-touch order) into a ledger.
-// After all blocks finish, ledgers are replayed into the device L2 and the
-// counters merged in block-id order. The result is a pure function of
-// (device state, config, body): bit-identical whether blocks ran inline or
-// on the block queue, which is the contract the stream tests pin down.
+// every block starts from an empty L2 and an empty read-only cache built
+// from the device's spec — on real hardware blocks race, so no block may
+// depend on another's fills — and no cache state outlives the launch. Each
+// block logs the atomic lines it touched into a ledger, and after all
+// blocks finish the counters and ledgers are merged in block-id order. The
+// result is a pure function of (spec, config, body): the same on every
+// launch, and bit-identical whether blocks ran inline or on the block
+// queue, which is the contract the stream tests pin down.
 //
 // Block queue: every pooled launch in the process puts its blocks on one
 // queue. async_worker_count() - 1 helper threads claim blocks of the
@@ -41,23 +41,23 @@
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "vgpu/cache.hpp"
 #include "vgpu/stream.hpp"
 
 namespace tbs::vgpu {
 
 namespace {
 
-/// Per-block record of device-visible side effects, replayed in block-id
-/// order after all blocks finish (see the launch-semantics note above).
+/// Per-block record of the atomic lines a block touched, merged in
+/// block-id order after all blocks finish (see the launch-semantics note
+/// above).
 struct BlockLedger {
-  std::vector<std::uintptr_t> l2_lines;      ///< unique lines, first touch
   std::vector<std::uintptr_t> atomic_lines;  ///< unique atomic lines
 };
 
@@ -366,7 +366,6 @@ class BlockExecutor {
         any_roc_miss = true;
       }
       // L2 path (direct global access, or ROC miss fill).
-      record_l2_line(line_addr);
       if (l2_.access(line_addr)) {
         stats_.l2_bytes += spec_.line_bytes;
       } else {
@@ -481,7 +480,6 @@ class BlockExecutor {
       for (std::size_t u = 0; u < unique; ++u) {
         const std::uintptr_t line =
             addrs[u] / spec_.line_bytes * spec_.line_bytes;
-        record_l2_line(line);
         if (l2_.access(line))
           stats_.l2_bytes += spec_.line_bytes;
         else
@@ -524,19 +522,12 @@ class BlockExecutor {
     return spec_.lat_shuffle;
   }
 
-  /// Log a line's first touch by this block for post-launch L2 replay.
-  void record_l2_line(std::uintptr_t line_addr) {
-    if (l2_seen_.insert(line_addr).second)
-      ledger_.l2_lines.push_back(line_addr);
-  }
-
   const DeviceSpec& spec_;
   const LaunchConfig& cfg_;
-  SetAssocCache& l2_;
+  SetAssocCache& l2_;  ///< empty when the block starts
   KernelStats& stats_;
   BlockLedger& ledger_;
   SetAssocCache roc_;
-  std::unordered_set<std::uintptr_t> l2_seen_;
   std::unordered_set<std::uintptr_t> atomic_seen_;
   std::vector<std::byte> shared_arena_;
   std::vector<Lane> lanes_;
@@ -664,9 +655,7 @@ void run_tasks(int n, const std::function<void(int)>& task) {
   if (n > 0) block_queue().run(n, task);
 }
 
-Device::Device(DeviceSpec spec)
-    : spec_(std::move(spec)),
-      l2_(spec_.l2_bytes, spec_.l2_ways, spec_.line_bytes) {}
+Device::Device(DeviceSpec spec) : spec_(std::move(spec)) {}
 
 KernelStats Device::launch(const LaunchConfig& cfg, const KernelBody& body) {
   return execute_launch(cfg, body, /*pooled=*/false);
@@ -694,14 +683,12 @@ KernelStats Device::execute_launch(const LaunchConfig& cfg,
   // lowest-block-id error is rethrown once every block has finished.
   const std::function<void(int)> run_block = [&](int b) {
     const auto i = static_cast<std::size_t>(b);
-    // Each thread keeps one L2 scratch and refills it for every block.
-    thread_local std::optional<SetAssocCache> shard;
     try {
-      if (shard)
-        *shard = l2_;  // launch-entry snapshot (see note at top of file)
-      else
-        shard.emplace(l2_);
-      BlockExecutor exec(spec_, cfg, *shard, block_stats[i], ledgers[i]);
+      // Each thread keeps one L2 scratch and empties it for every block.
+      thread_local SetAssocCache l2(spec_.l2_bytes, spec_.l2_ways,
+                                    spec_.line_bytes);
+      l2.reset(spec_.l2_bytes, spec_.l2_ways, spec_.line_bytes);
+      BlockExecutor exec(spec_, cfg, l2, block_stats[i], ledgers[i]);
       exec.run(b, body);
     } catch (...) {
       errors[i] = std::current_exception();
@@ -731,15 +718,10 @@ KernelStats Device::execute_launch(const LaunchConfig& cfg,
     for (const std::uintptr_t line : ledgers[i].atomic_lines)
       if (atomic_union.insert(line).second) ++stats.atomic_distinct_lines;
   }
-  // Chaos hook: ECC-style corruption throws here, before the ledgers are
-  // replayed into the device L2 — a failed launch must leave the device
-  // bit-identical to never having launched, so a retry reproduces the
-  // fault-free counters exactly.
+  // Chaos hook: ECC-style corruption throws here, before the launch is
+  // counted — a failed launch leaves the device as it was, so a retry
+  // reproduces the fault-free counters exactly.
   if (fault_) fault_->on_launch_stats(stats);
-  for (int b = 0; b < grid; ++b)
-    for (const std::uintptr_t line :
-         ledgers[static_cast<std::size_t>(b)].l2_lines)
-      l2_.access(line);
   ++launches_done_;
   if (observer_) {
     LaunchRecord rec;

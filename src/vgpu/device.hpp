@@ -1,5 +1,6 @@
-// Device — the top-level simulated GPU: owns the L2 / read-only cache
-// simulators and runs kernel launches block by block, warp-lockstep.
+// Device — the top-level simulated GPU: runs kernel launches block by
+// block, warp-lockstep, each block against L2 and read-only cache
+// simulators of its own that start empty.
 #pragma once
 
 #include <cstdint>
@@ -7,7 +8,6 @@
 #include <memory>
 #include <utility>
 
-#include "vgpu/cache.hpp"
 #include "vgpu/coro.hpp"
 #include "vgpu/ctx.hpp"
 #include "vgpu/fault.hpp"
@@ -40,11 +40,11 @@ struct LaunchRecord {
 /// thread that issued its launch, so it may run on several threads at once.
 using LaunchObserver = std::function<void(const LaunchRecord&)>;
 
-/// The simulated GPU. Launches are deterministic: every block executes
-/// against a private snapshot of the L2 state taken at launch entry, and
-/// block effects are replayed into the device in block-id order afterwards
-/// — so counters are a pure function of (device state, config, body),
-/// identical whether blocks run inline (`launch`) or on the block queue
+/// The simulated GPU. Launches are deterministic: every block starts from
+/// an empty L2 built from the spec, no cache state carries from one launch
+/// to the next, and block counters merge in block-id order — so counters
+/// are a pure function of (spec, config, body), the same on every launch
+/// and whether blocks run inline (`launch`) or on the block queue
 /// (`Stream::launch`). The *cost model* accounts for blocks as
 /// if they ran concurrently across SMs (see perfmodel::KernelTimeModel).
 class Device {
@@ -61,13 +61,10 @@ class Device {
   /// kernel body throws.
   KernelStats launch(const LaunchConfig& cfg, const KernelBody& body);
 
-  /// Drop all cached lines in L2 (e.g. between unrelated experiments).
-  void flush_caches() { l2_.invalidate(); }
-
-  /// A private device for launches that must not depend on this one's
-  /// history, such as a planner's calibration: this device's spec, an
-  /// empty L2, no fault plan, a launch_count() of its own, and this
-  /// device's launch observer, so the launches still reach the hook.
+  /// A private device for launches that must stay out of this one's
+  /// bookkeeping, such as a planner's calibration: this device's spec, no
+  /// fault plan, a launch_count() of its own, and this device's launch
+  /// observer, so the launches still reach the hook.
   [[nodiscard]] Device cold_twin() const {
     Device twin(spec_);
     twin.observer_ = observer_;
@@ -93,8 +90,8 @@ class Device {
   /// Install a chaos schedule on this device: every subsequent launch
   /// (inline or pooled) runs through a FaultInjector executing `plan`.
   /// A plan with no knobs enabled removes injection. Injected failures
-  /// leave the device bit-identical to never having launched (no L2
-  /// replay, no launch_count() bump, no observer callback).
+  /// leave the device bit-identical to never having launched (no
+  /// launch_count() bump, no observer callback).
   void set_fault_plan(const FaultPlan& plan) {
     fault_ = plan.enabled() ? std::make_unique<FaultInjector>(plan) : nullptr;
   }
@@ -118,7 +115,6 @@ class Device {
                              bool pooled);
 
   DeviceSpec spec_;
-  SetAssocCache l2_;
   std::uint64_t launches_done_ = 0;
   LaunchObserver observer_;
   std::unique_ptr<FaultInjector> fault_;  ///< nullptr = no chaos

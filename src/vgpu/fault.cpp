@@ -63,7 +63,7 @@ void FaultInjector::on_launch_stats(KernelStats& stats) {
   }
   if (!fire) return;
   // ECC-style single-bit flip in one well-known counter. The caller throws
-  // before replaying device state, so the corruption is observable only
+  // before counting the launch, so the corruption is observable only
   // through this error — a retry re-runs against a pristine device.
   stats.global_loads ^= (std::uint64_t{1} << 17);
   throw EccError(

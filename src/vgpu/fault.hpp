@@ -14,9 +14,9 @@
 //     so the fault sequence is a pure function of (seed, attempt ordinal)
 //     regardless of which knobs are enabled.
 //   * No partial effects: an injected fault fires either before the kernel
-//     runs or before its side effects are replayed into the device L2 — a
-//     failed launch leaves the device bit-identical to never having
-//     launched, so a retry reproduces the fault-free result exactly.
+//     runs or before the launch is counted — a failed launch leaves the
+//     device bit-identical to never having launched, so a retry reproduces
+//     the fault-free result exactly.
 //   * Typed errors: every injected failure is a vgpu::DeviceError subclass
 //     carrying `transient()`, which is what the retry policy keys on.
 #pragma once
@@ -79,7 +79,7 @@ struct FaultPlan {
   double stall_rate = 0.0;
   double stall_seconds = 0.0;
   /// P(attempt completes, then its counters are corrupted and EccError is
-  /// thrown before any device-state replay).
+  /// thrown before the launch is counted).
   double corrupt_rate = 0.0;
   /// Deterministic schedule: the first N attempts throw
   /// TransientLaunchError regardless of the rates, then the schedule is
@@ -141,7 +141,7 @@ enum class SilentFault { None, Staged, Result };
 ///                        corruption decision so every attempt consumes a
 ///                        fixed number of RNG draws.
 ///   on_launch_stats()  — called with the finished counters *before* the
-///                        device replays side effects; may corrupt one
+///                        device counts the launch; may corrupt one
 ///                        counter and throw EccError.
 class FaultInjector {
  public:
@@ -157,7 +157,7 @@ class FaultInjector {
 
   /// Post-execution hook: when the pre-drawn corruption decision fired,
   /// flips one bit of one counter in `stats` and throws EccError naming
-  /// it. Must run before the launch's effects are replayed into the device.
+  /// it. Must run before the device counts the launch.
   void on_launch_stats(KernelStats& stats);
 
   /// Draws the silent-corruption decision for one backend-level launch.

@@ -7,8 +7,9 @@
 // threads (see `set_async_worker_count`) claim them; launches on different
 // devices run at once and share the helpers. Yet the counters are
 // bit-identical to `Device::launch`, which runs the blocks inline on the
-// calling thread — see device.cpp for the per-block L2 snapshot +
-// block-order replay contract that makes this hold.
+// calling thread — see device.cpp for the contract that makes this hold:
+// every block starts from empty caches, and block counters merge in
+// block-id order.
 //
 // Determinism contract: functional results are deterministic for kernels
 // whose cross-block global-memory traffic is commutative-exact (integer

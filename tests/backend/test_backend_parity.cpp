@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -286,12 +287,14 @@ TEST_F(BackendParity, CpuLaunchStatsCarryNoSimulatedCounters) {
 }
 
 TEST_F(BackendParity, DriftSweepSkipsCpuVariantsInsteadOfFailing) {
-  obs::DriftOptions opt;
-  opt.only_variants = {"Reg-ROC-Out"};
-  const obs::DriftReport report = obs::check_drift(cpu_be_, opt);
+  const obs::DriftReport report = obs::check_drift(cpu_be_);
   EXPECT_TRUE(report.rows.empty());
-  ASSERT_FALSE(report.skipped.empty());
-  EXPECT_EQ(report.skipped.front(), "Reg-ROC-Out");
+  // Every plannable variant the CPU runs, SDH then PCF in registry order.
+  EXPECT_EQ(report.skipped,
+            (std::vector<std::string>{"Naive-Out", "Reg-SHM-Out",
+                                      "Reg-ROC-Out", "Reg-SHM-LB", "Shuffle",
+                                      "Tree-SDH", "SHM-SHM", "Register-SHM",
+                                      "Register-ROC"}));
   EXPECT_EQ(report.backend, cpu_be_.caps().name);
   EXPECT_TRUE(report.within_tolerance());
   EXPECT_NO_THROW(report.enforce());

@@ -11,7 +11,10 @@
 // l2_bytes, roc_hit_bytes, total_warp_cycles, max_block_cycles and
 // phase_cycles. The simulated L2 and read-only cache index lines by host
 // address, so those six follow where the host heap put each buffer
-// (ROADMAP item 1) and move from process to process.
+// (ROADMAP item 1) and may move from process to process. Launch history
+// does not move them: every launch starts from empty caches, and
+// test_launch_repeat.cpp requires every field equal across repeated
+// launches in one process.
 //
 // One more field is left out for one launch: the global-cursor join's
 // threads store their pairs at the slots a contended atomic cursor hands

@@ -116,20 +116,10 @@ TEST(KernelProperties, RepeatedRunsAreBitIdentical) {
   const auto pts = uniform_box(512, 10.0f, 806);
   vgpu::Device dev;
   const auto a = run_sdh(dev, pts, 0.5, 32, SdhVariant::ShuffleOut, 128);
-  dev.flush_caches();  // L2 state persists across launches by design
   const auto b = run_sdh(dev, pts, 0.5, 32, SdhVariant::ShuffleOut, 128);
   EXPECT_EQ(a.hist, b.hist);
   EXPECT_EQ(a.stats.shared_atomics, b.stats.shared_atomics);
   EXPECT_EQ(a.stats.total_warp_cycles, b.stats.total_warp_cycles);
-}
-
-TEST(KernelProperties, WarmCacheNeverSlowsAKernelDown) {
-  const auto pts = uniform_box(512, 10.0f, 807);
-  vgpu::Device dev;
-  const auto cold = run_sdh(dev, pts, 0.5, 32, SdhVariant::NaiveOut, 128);
-  const auto warm = run_sdh(dev, pts, 0.5, 32, SdhVariant::NaiveOut, 128);
-  EXPECT_LE(warm.stats.total_warp_cycles, cold.stats.total_warp_cycles);
-  EXPECT_LE(warm.stats.dram_bytes, cold.stats.dram_bytes);
 }
 
 // ---------------------------------------------------------------------------
